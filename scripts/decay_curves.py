@@ -13,31 +13,11 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-import numpy as np
-
-from lindet.cli import write_csv
-from lindet.config import build_lindbladian, load_config
-from lindet.model import twirled_generator
-from lindet.superop import exp, from_diagonal, from_lindbladian, identity_fraction, purity
+from lindet.cli import CURVE_HEADER, curve_rows, write_csv
 
 
 def emit(config_path: Path, out_path: Path, t_max: float, points: int) -> None:
-    config = load_config(str(config_path))
-    lind = build_lindbladian(config)
-    gen = from_lindbladian(lind, max_qubits=config.capacity)
-    twirled = from_diagonal(twirled_generator(lind))
-    rows = []
-    for t in np.linspace(0.0, t_max, points):
-        channel = exp(gen, float(t))
-        rows.append(
-            (
-                float(t),
-                identity_fraction(channel),
-                identity_fraction(exp(twirled, float(t))),
-                purity(channel),
-            )
-        )
-    write_csv(str(out_path), "t,i_exact,i_twirled,purity", rows)
+    write_csv(str(out_path), CURVE_HEADER, curve_rows(str(config_path), t_max, points))
     print(f"{config_path.name}: {points} samples -> {out_path}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConsistencyError, DomainError
 from .model import Lindbladian
-from .paulis import PauliString, chi_table, indices_from_codes, string_from_codes
+from .paulis import chi_table, indices_from_codes, letters_from_codes, sample_codes
 from .superop import (
     STRUCT_TOL,
     SuperOperator,
@@ -43,11 +43,14 @@ class RoundOutcome:
     than the identity (the state did not remain |Phi>), which is the event
     that makes the detector reject. ``p_identity`` is the exact conditional
     probability used for the Bernoulli draw, clamped to [0, 1].
+    ``pauli_frames`` holds a sampled round's m frames in slice order as one
+    string of m*n letters (see :func:`paulis.letters_from_codes`); it is
+    empty in averaged mode.
     """
 
     rejected: bool
     t_used: float
-    pauli_frames: tuple[PauliString, ...]
+    pauli_frames: str
     p_identity: float
 
 
@@ -121,13 +124,12 @@ def run_round(
     if generator is None:
         generator = from_lindbladian(lind)
     if mode == "sampled_pauli":
-        codes = rng.integers(0, 4, size=(m, lind.n))
-        frame_indices = indices_from_codes(codes)
-        channel = sampled_frame_channel(generator, tau, frame_indices)
-        frames = tuple(string_from_codes(row) for row in codes)
+        codes = sample_codes(lind.n, m, rng)
+        channel = sampled_frame_channel(generator, tau, indices_from_codes(codes))
+        frames = letters_from_codes(codes)
     else:
         channel = trotterized_twirled(lind, tau, m, generator=generator)
-        frames = ()
+        frames = ""
     p = _clamp_probability(identity_fraction(channel))
     stayed_identity = bool(rng.random() < p)
     return RoundOutcome(

@@ -352,7 +352,3 @@ def run_suite(suite: str, trials: int, seed: int) -> list[CheckResult]:
         raise ValueError(f"unknown check suite {suite!r}; known: all, "
                          + ", ".join(SUITE_NAMES))
     return results
-
-
-def run_all(trials: int, seed: int) -> list[CheckResult]:
-    return run_suite("all", trials, seed)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
 
@@ -85,20 +86,14 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     config, lind = _load(args.config)
     derived_k, derived_degree = derive_locality_degree(lind.dissipator)
-    k = args.k if args.k is not None else (config.declared_k or derived_k or 1)
-    degree = (
-        args.degree
-        if args.degree is not None
-        else (config.declared_degree or derived_degree or 1)
-    )
     l_bound = args.l_bound if args.l_bound is not None else diamond_upper_bound(lind)
     if l_bound <= 0:
         l_bound = 1.0  # zero generator: any positive bound is a valid promise
     params = DetectionParams(
         epsilon=args.epsilon,
         delta=args.delta,
-        k=k,
-        degree=degree,
+        k=args.k if args.k is not None else derived_k or 1,
+        degree=args.degree if args.degree is not None else derived_degree or 1,
         l_bound=l_bound,
         mode=args.mode,
         seed=_resolve_seed(args),
@@ -109,7 +104,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
         ),
     )
     report = run_detection(lind, params, max_qubits=config.capacity)
-    _print_report_summary(report)
     if args.out:
         payload = report.to_dict()
         if not args.full_report:
@@ -118,7 +112,16 @@ def cmd_detect(args: argparse.Namespace) -> int:
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        print(f"report written to {args.out}")
+    try:
+        _print_report_summary(report)
+        if args.out:
+            print(f"report written to {args.out}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head` does). The report is
+        # written and the verdict stands; point stdout at the null device so
+        # the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if report.verdict == "ACCEPT" else EXIT_REJECT
 
 
@@ -149,16 +152,18 @@ def _print_report_summary(report: DetectionReport) -> None:
         print(f"warning: {warning}")
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    if args.points < 2:
-        raise LindetError(f"points must be at least 2, got {args.points}")
-    if args.t_max <= 0:
-        raise LindetError(f"t-max must be positive, got {args.t_max}")
-    config, lind = _load(args.config)
+CURVE_HEADER = "t,i_exact,i_twirled,purity"
+
+
+def curve_rows(config_path: str, t_max: float, points: int) -> list[tuple[float, ...]]:
+    """Rows of the ``curve`` CSV: at each of ``points`` times in [0, t_max],
+    the Bell identity probability of the exact and of the twirled evolution
+    and the Choi purity of the exact channel."""
+    config, lind = _load(config_path)
     gen = from_lindbladian(lind, max_qubits=config.capacity)
     twirled = from_diagonal(twirled_generator(lind))
     rows = []
-    for t in np.linspace(0.0, args.t_max, args.points):
+    for t in np.linspace(0.0, t_max, points):
         channel = exp(gen, float(t))
         rows.append(
             (
@@ -168,7 +173,15 @@ def cmd_curve(args: argparse.Namespace) -> int:
                 purity(channel),
             )
         )
-    write_csv(args.out, "t,i_exact,i_twirled,purity", rows)
+    return rows
+
+
+def cmd_curve(args: argparse.Namespace) -> int:
+    if args.points < 2:
+        raise LindetError(f"points must be at least 2, got {args.points}")
+    if args.t_max <= 0:
+        raise LindetError(f"t-max must be positive, got {args.t_max}")
+    write_csv(args.out, CURVE_HEADER, curve_rows(args.config, args.t_max, args.points))
     print(f"{args.points} samples written to {args.out}")
     return EXIT_OK
 

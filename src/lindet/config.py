@@ -60,8 +60,6 @@ class GeneratorConfig:
     n: int
     hamiltonian: tuple[HamiltonianTermSpec, ...]
     jumps: tuple[JumpSpec, ...]
-    declared_k: int | None
-    declared_degree: int | None
     capacity_override: int | None
 
     @property
@@ -281,8 +279,6 @@ def load_config(path: str) -> GeneratorConfig:
         n=n,
         hamiltonian=tuple(ham_terms),
         jumps=tuple(jump_specs),
-        declared_k=declared_k,
-        declared_degree=declared_degree,
         capacity_override=capacity_override,
     )
     # Validate declared locality/degree against the derived values now so the

@@ -32,7 +32,7 @@ import numpy as np
 from .bell import RoundOutcome, run_round
 from .errors import DomainError
 from .model import Lindbladian, derive_locality_degree, diamond_upper_bound
-from .paulis import check_capacity
+from .paulis import check_capacity, split_letters
 from .superop import from_lindbladian
 
 logger = logging.getLogger(__name__)
@@ -120,7 +120,7 @@ class DetectionReport:
                     "rejected": r.rejected,
                     "t_used": r.t_used,
                     "p_identity": r.p_identity,
-                    "pauli_frames": [str(p) for p in r.pauli_frames],
+                    "pauli_frames": split_letters(r.pauli_frames, self.m),
                 }
                 for r in self.rounds
             ],

@@ -22,7 +22,8 @@ from .model import (
     Lindbladian,
     derive_locality_degree,
 )
-from .paulis import PauliString, enumerate_all, from_index, sample_uniform
+from .paulis import PauliString, enumerate_all, from_index
+from .paulis import letters_from_codes, sample_codes
 
 
 def hamiltonian_only(n: int, terms: list[tuple[str, float]]) -> Lindbladian:
@@ -60,7 +61,7 @@ def random_hamiltonian(
 ) -> HamiltonianSpec:
     terms = []
     for _ in range(n_terms):
-        p = sample_uniform(n, rng)
+        p = PauliString.from_text(letters_from_codes(sample_codes(n, 1, rng)))
         if p.is_identity:
             continue
         terms.append((p, float(rng.normal(0.0, scale))))

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError
 from .paulis import HARD_MAX_QUBITS, PauliString, chi, matrix
 
 
@@ -240,23 +240,6 @@ def diamond_upper_bound(lind: Lindbladian) -> float:
     for j in lind.dissipator.jumps:
         total += 2.0 * float(np.linalg.norm(j.dense(), ord=2)) ** 2
     return total
-
-
-def pnorm_promise_to_2norm(epsilon: float, p: float, s: float) -> float:
-    """Guaranteed Pauli-2-norm implied by a Pauli p-norm promise of epsilon.
-
-    For p >= 2 the promise transfers unchanged; for 1 <= p < 2 it degrades by
-    s^(1/2 - 1/p) where s bounds the number of nonzero Pauli coefficients.
-    """
-    if epsilon <= 0:
-        raise DomainError(f"promise threshold must be positive, got {epsilon}")
-    if p < 1:
-        raise DomainError(f"p-norm order must satisfy p >= 1, got {p}")
-    if s < 1:
-        raise DomainError(f"sparsity bound must satisfy s >= 1, got {s}")
-    if p >= 2:
-        return float(epsilon)
-    return float(epsilon * s ** (0.5 - 1.0 / p))
 
 
 def dissipator_dense_action(js: JumpOperatorSet, x: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ DEFAULT_MAX_QUBITS = 4
 HARD_MAX_QUBITS = 6
 
 _LETTERS = "IXYZ"
+_LETTER_BYTES = np.frombuffer(_LETTERS.encode("ascii"), dtype=np.uint8)
 # letter code c in {0,1,2,3} -> (x bit, z bit)
 _CODE_TO_BITS = ((0, 0), (1, 0), (1, 1), (0, 1))
 _BITS_TO_CODE = {bits: code for code, bits in enumerate(_CODE_TO_BITS)}
@@ -188,17 +189,16 @@ def enumerate_all(n: int, max_qubits: int | None = None) -> Iterator[PauliString
         yield from_index(n, idx)
 
 
-def sample_uniform(n: int, rng: np.random.Generator) -> PauliString:
-    """Uniform draw over all 4^n strings from the supplied RNG stream."""
+def sample_codes(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` uniform draws over all 4^n strings as letter codes, shape (size, n).
+
+    This is the only Pauli sampler. Row j holds the values a size-n draw
+    would give as the j-th of ``size`` consecutive draws, so a stream's
+    draws do not depend on how they are batched.
+    """
     if n < 1:
         raise ValueError(f"qubit count must be positive, got n={n}")
-    codes = rng.integers(0, 4, size=n)
-    x = z = 0
-    for i, c in enumerate(codes):
-        xb, zb = _CODE_TO_BITS[int(c)]
-        x |= xb << i
-        z |= zb << i
-    return PauliString(n, x, z)
+    return rng.integers(0, 4, size=(size, n))
 
 
 def matrix(p: PauliString, max_qubits: int | None = None) -> np.ndarray:
@@ -241,11 +241,18 @@ def indices_from_codes(codes: np.ndarray) -> np.ndarray:
     return codes @ weights
 
 
-def string_from_codes(codes: np.ndarray) -> PauliString:
-    """PauliString from a length-n array of letter codes (0=I,1=X,2=Y,3=Z)."""
-    x = z = 0
-    for i, c in enumerate(codes):
-        xb, zb = _CODE_TO_BITS[int(c)]
-        x |= xb << i
-        z |= zb << i
-    return PauliString(len(codes), x, z)
+def letters_from_codes(codes: np.ndarray) -> str:
+    """Letter codes, shape (..., n), as one string of letters in row order.
+
+    A (m, n) array becomes m n-letter Pauli texts joined end to end, one byte
+    per letter; :func:`split_letters` recovers the texts.
+    """
+    return _LETTER_BYTES[codes].tobytes().decode("ascii")
+
+
+def split_letters(letters: str, count: int) -> list[str]:
+    """The ``count`` equal-length Pauli texts joined in ``letters``."""
+    if not letters:
+        return []
+    n = len(letters) // count
+    return [letters[i : i + n] for i in range(0, len(letters), n)]

@@ -97,11 +97,6 @@ def zero_superop(n: int) -> SuperOperator:
     return SuperOperator(n, np.zeros((4**n, 4**n), dtype=complex))
 
 
-def from_ptm(n: int, mat: np.ndarray) -> SuperOperator:
-    """Wrap an explicit transfer matrix (used by tests and random instances)."""
-    return SuperOperator(n, mat)
-
-
 def _vec_to_ptm(n: int, svec: np.ndarray) -> np.ndarray:
     w = pauli_vec_basis(n)
     return w.conj().T @ svec @ w
@@ -181,21 +176,6 @@ def identity_fraction(s: SuperOperator) -> float:
 def frobenius_normalized(s: SuperOperator) -> float:
     """sqrt(sum |entries|^2 / d^2); the identity map has norm exactly 1."""
     return float(np.linalg.norm(s.mat)) / 2**s.n
-
-
-def pauli_p_norm(s: SuperOperator, p: float) -> float:
-    """Normalized entrywise l_p norm of the transfer matrix.
-
-    Normalization is d^(2/p) so that p=2 coincides with the normalized
-    Frobenius norm and p=inf is the plain max-entry magnitude.
-    """
-    if p < 1:
-        raise DomainError(f"p-norm order must satisfy p >= 1, got {p}")
-    mags = np.abs(s.mat).ravel()
-    if math.isinf(p):
-        return float(mags.max()) if mags.size else 0.0
-    d = 2**s.n
-    return float((mags**p).sum() ** (1.0 / p)) / d ** (2.0 / p)
 
 
 def exp(s: SuperOperator, t: float, method: str = "pade") -> SuperOperator:

@@ -30,10 +30,10 @@ from lindet.detector import (
 )
 from lindet.model import diamond_upper_bound, twirled_generator
 from lindet.superop import (
+    SuperOperator,
     exp,
     from_diagonal,
     from_lindbladian,
-    from_ptm,
     identity_fraction,
 )
 from lindet.twirl import (
@@ -178,7 +178,7 @@ def test_criterion_05_twirl_oracle_equivalence():
     worst = 0.0
     for index in range(20):
         n = 1 + index % 2
-        s = from_ptm(n, instances.random_hermiticity_preserving_ptm(n, rng))
+        s = SuperOperator(n, instances.random_hermiticity_preserving_ptm(n, rng))
         dev = float(np.abs(twirl_average(s).mat - twirl_exact(s).mat).max())
         worst = max(worst, dev)
     ok = worst <= 1e-10

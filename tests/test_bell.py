@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,11 @@ from lindet.model import (
 )
 from lindet.paulis import PauliString, indices_from_codes
 from lindet.superop import (
+    SuperOperator,
     choi,
     exp,
     from_diagonal,
     from_lindbladian,
-    from_ptm,
     identity_fraction,
     identity_superop,
     is_trace_preserving,
@@ -34,7 +36,7 @@ class TestBellDistribution:
         assert np.abs(probs[1:]).max() < 1e-12
 
     def test_fully_depolarizing_uniform(self):
-        fully = from_ptm(1, np.diag([1.0, 0.0, 0.0, 0.0]))
+        fully = SuperOperator(1, np.diag([1.0, 0.0, 0.0, 0.0]))
         assert np.allclose(bell_distribution(fully), 0.25)
 
     def test_dephasing_identity_entry(self):
@@ -61,7 +63,7 @@ class TestBellDistribution:
 
     def test_non_cptp_rejected(self):
         with pytest.raises(ConsistencyError):
-            bell_distribution(from_ptm(1, np.diag([1.0, 2.0, 0.0, 0.0])))
+            bell_distribution(SuperOperator(1, np.diag([1.0, 2.0, 0.0, 0.0])))
 
 
 class TestSampledFrameChannel:
@@ -107,15 +109,22 @@ class TestRunRound:
         t = outcome.t_used
         expected = (2 + 2 * np.cos(2 * omega * t / m) ** m) / 4
         assert outcome.p_identity == pytest.approx(expected, abs=1e-9)
-        assert outcome.pauli_frames == ()
+        assert outcome.pauli_frames == ""
 
     def test_sampled_records_frames(self, rng):
         lind = instances.dephasing(1.0)
         outcome = run_round(lind, 2.0, 6, "sampled_pauli", rng)
         assert len(outcome.pauli_frames) == 6
-        assert all(f.n == 1 for f in outcome.pauli_frames)
+        assert set(outcome.pauli_frames) <= set("IXYZ")
         assert 0.0 <= outcome.p_identity <= 1.0
         assert 0.0 <= outcome.t_used <= 2.0
+
+    def test_frame_record_is_one_byte_per_letter(self):
+        m = 10**5
+        lind = instances.dephasing(1.0, n=2)
+        outcome = run_round(lind, 2.0, m, "sampled_pauli", np.random.default_rng(6))
+        assert len(outcome.pauli_frames) == 2 * m
+        assert sys.getsizeof(outcome.pauli_frames) <= 2 * m + 100
 
     def test_deterministic_replay(self):
         lind = instances.dephasing(1.0)

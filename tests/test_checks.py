@@ -42,12 +42,12 @@ class TestIndividualChecks:
 
 class TestSuiteRunner:
     def test_full_suite_passes(self):
-        results = checks.run_all(trials=10, seed=123)
+        results = checks.run_suite("all", trials=10, seed=123)
         assert [r.name for r in results] == checks.SUITE_NAMES
         assert all(r.passed for r in results)
 
     def test_single_suite_matches_full_run(self):
-        full = checks.run_all(trials=10, seed=123)
+        full = checks.run_suite("all", trials=10, seed=123)
         single = checks.run_suite("twirl_structure", trials=10, seed=123)
         assert len(single) == 1
         full_result = next(r for r in full if r.name == "twirl_structure")

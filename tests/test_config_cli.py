@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindet
 from lindet.cli import main
 from lindet.config import build_lindbladian, load_config, parse_config
 from lindet.errors import ConfigError
@@ -378,6 +383,36 @@ class TestOtherCommands:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_detect_out_with_closed_stdout(self, tmp_path, unbuffered):
+        # `lindet detect --out r.json | true`: the reader of stdout is gone
+        # before the summary is printed
+        report = tmp_path / "r.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(lindet.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "lindet.cli", "--seed", "7", "detect",
+                    "--config", f"{CONFIGS}/dephasing_strong.yaml",
+                    "--epsilon", "0.5", "--delta", "0.1", "--mode", "averaged",
+                    "--out", str(report),
+                ],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        payload = json.loads(report.read_text())
+        assert proc.returncode == (2 if payload["verdict"] == "REJECT" else 0)
+        assert proc.stderr == b""
 
     def test_detect_missing_file(self):
         code = main(

@@ -1,5 +1,7 @@
+import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -178,9 +180,28 @@ class TestRunDetection:
         assert rejections >= 7
 
     def test_report_serializable(self):
-        import json
-
         lind, params = dephasing_setup(seed=4, mode="sampled_pauli")
         report = run_detection(lind, params)
         payload = json.dumps(report.to_dict())
         assert '"verdict": "REJECT"' in payload
+
+    def test_report_frames_replay_the_round_streams(self):
+        # round i draws t, then its m frames, from the (seed, i) stream; the
+        # JSON report lists the frames as n-letter strings in slice order
+        m, seed = 40, 11
+        lind = instances.hamiltonian_only(2, [("XZ", 0.7), ("YI", 0.2)])
+        params = DetectionParams(
+            0.5, 0.1, 1, 1, 2.0, mode="sampled_pauli", seed=seed,
+            overrides=Overrides(m=m, rounds=3),
+        )
+        report = run_detection(lind, params)
+        rounds = json.loads(json.dumps(report.to_dict()))["rounds"]
+        assert rounds
+        for index, round_dict in enumerate(rounds):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+            assert rng.uniform(0.0, report.t_max) == round_dict["t_used"]
+            codes = rng.integers(0, 4, size=(m, 2))
+            letters = ["".join("IXYZ"[c] for c in row) for row in codes]
+            assert round_dict["pauli_frames"] == letters
+        averaged = run_detection(lind, replace(params, mode="averaged"))
+        assert all(r["pauli_frames"] == [] for r in averaged.to_dict()["rounds"])

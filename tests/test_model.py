@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from lindet import instances
-from lindet.errors import DomainError
 from lindet.model import (
     DiagonalDissipator,
     HamiltonianSpec,
@@ -17,7 +14,6 @@ from lindet.model import (
     diagonal_eigenvalue,
     diagonal_frobenius,
     diamond_upper_bound,
-    pnorm_promise_to_2norm,
     twirled_generator,
 )
 from lindet.paulis import PauliString, enumerate_all
@@ -202,31 +198,6 @@ class TestDiamondUpperBound:
         gamma = 0.6
         lind = lindbladian(1, jumps=[jump(1, {0}, {"Z": np.sqrt(gamma)})])
         assert diamond_upper_bound(lind) == pytest.approx(2 * gamma)
-
-
-class TestPnormPromise:
-    def test_examples(self):
-        assert pnorm_promise_to_2norm(0.1, 2, 7) == 0.1
-        assert pnorm_promise_to_2norm(0.1, float("inf"), 4) == 0.1
-        assert pnorm_promise_to_2norm(0.1, 1, 4) == pytest.approx(0.05)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            pnorm_promise_to_2norm(0.1, 0.5, 4)
-        with pytest.raises(DomainError):
-            pnorm_promise_to_2norm(-0.1, 2, 4)
-        with pytest.raises(DomainError):
-            pnorm_promise_to_2norm(0.1, 2, 0.5)
-
-    @given(
-        st.floats(1.0, 1.999),
-        st.integers(1, 50),
-        st.integers(1, 50),
-    )
-    def test_monotone_non_increasing_in_sparsity(self, p, s_small, extra):
-        value_small = pnorm_promise_to_2norm(0.3, p, s_small)
-        value_large = pnorm_promise_to_2norm(0.3, p, s_small + extra)
-        assert value_large <= value_small + 1e-15
 
 
 class TestNormComparisons:

@@ -13,7 +13,7 @@ from lindet.paulis import (
     matrix,
     multiply,
     pauli_index,
-    sample_uniform,
+    sample_codes,
 )
 
 
@@ -158,21 +158,28 @@ class TestEnumerationAndIndex:
 
 class TestSampling:
     def test_deterministic_replay(self):
-        a = [sample_uniform(2, np.random.default_rng(123)) for _ in range(5)]
-        b = [sample_uniform(2, np.random.default_rng(123)) for _ in range(5)]
-        assert a == b
+        a = sample_codes(2, 5, np.random.default_rng(123))
+        b = sample_codes(2, 5, np.random.default_rng(123))
+        assert a.shape == (5, 2)
+        assert np.array_equal(a, b)
+
+    def test_draws_do_not_depend_on_batching(self):
+        batched = sample_codes(3, 7, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        one_by_one = [sample_codes(3, 1, rng)[0] for _ in range(7)]
+        assert np.array_equal(batched, one_by_one)
 
     def test_identity_frequency(self):
         rng = np.random.default_rng(2024)
         draws = 10**6
-        hits = sum(sample_uniform(1, rng).is_identity for _ in range(draws))
+        hits = int(np.count_nonzero(sample_codes(1, draws, rng) == 0))
         assert abs(hits / draws - 0.25) < 0.002
 
     def test_mean_weight(self):
         # each site is non-identity with probability 3/4: mean weight 3n/4
         rng = np.random.default_rng(99)
         draws = 10**6
-        total = sum(sample_uniform(2, rng).weight for _ in range(draws))
+        total = int(np.count_nonzero(sample_codes(2, draws, rng)))
         assert abs(total / draws - 1.5) < 0.01
 
 

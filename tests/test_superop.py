@@ -22,13 +22,11 @@ from lindet.superop import (
     frobenius_normalized,
     from_diagonal,
     from_lindbladian,
-    from_ptm,
     identity_fraction,
     identity_superop,
     is_hermiticity_preserving,
     is_trace_preserving,
     lambda_fraction,
-    pauli_p_norm,
     pauli_vec_basis,
     purity,
     scale,
@@ -158,7 +156,7 @@ class TestIdentityFraction:
         assert identity_fraction(s) == pytest.approx(overlap, abs=1e-10)
 
     def test_imaginary_residue_rejected(self):
-        bad = from_ptm(1, np.diag([1.0, 1j, 0, 0]))
+        bad = SuperOperator(1, np.diag([1.0, 1j, 0, 0]))
         with pytest.raises(ConsistencyError):
             identity_fraction(bad)
 
@@ -175,21 +173,11 @@ class TestNorms:
         rot = exp(
             from_lindbladian(instances.hamiltonian_only(1, [("X", 0.6)])), 1.0
         )
-        rot_inv = from_ptm(1, rot.mat.T)  # orthogonal PTM: transpose inverts
+        rot_inv = SuperOperator(1, rot.mat.T)  # orthogonal PTM: transpose inverts
         conjugated = compose(rot_inv, compose(s, rot))
         assert frobenius_normalized(conjugated) == pytest.approx(
             frobenius_normalized(s), abs=1e-10
         )
-
-    def test_p_norms(self, rng):
-        assert pauli_p_norm(zero_superop(1), 3.7) == 0.0
-        assert pauli_p_norm(identity_superop(2), float("inf")) == 1.0
-        s = random_channel(1, rng)
-        assert pauli_p_norm(s, 2) == pytest.approx(
-            frobenius_normalized(s), abs=1e-12
-        )
-        with pytest.raises(DomainError):
-            pauli_p_norm(s, 0.99)
 
     def test_sandwich_maps_isometry(self, rng):
         # sum alpha_{P,Q} (X -> P X Q) has squared normalized Frobenius norm
@@ -295,7 +283,7 @@ class TestChoiAndDiamond:
         assert sorted(eig)[-1] == pytest.approx(1.0)
 
     def test_fully_depolarizing_choi_maximally_mixed(self):
-        fully = from_ptm(1, np.diag([1.0, 0, 0, 0]))
+        fully = SuperOperator(1, np.diag([1.0, 0, 0, 0]))
         c = choi(fully).mat
         assert np.allclose(c, np.eye(4) / 4)
 

@@ -6,12 +6,12 @@ from lindet.errors import CapacityError, DomainError
 from lindet.model import DiagonalDissipator, twirled_generator
 from lindet.paulis import PauliString
 from lindet.superop import (
+    SuperOperator,
     diamond_bounds,
     exp,
     frobenius_normalized,
     from_diagonal,
     from_lindbladian,
-    from_ptm,
     identity_fraction,
     identity_superop,
     choi,
@@ -40,12 +40,12 @@ class TestTwirlProjection:
         assert np.abs(twirl_exact(gen).mat).max() < 1e-12
 
     def test_idempotent(self, rng):
-        s = from_ptm(2, instances.random_hermiticity_preserving_ptm(2, rng))
+        s = SuperOperator(2, instances.random_hermiticity_preserving_ptm(2, rng))
         once = twirl_exact(s)
         assert np.array_equal(twirl_exact(once).mat, once.mat)
 
     def test_preserves_identity_fraction_exactly(self, rng):
-        s = from_ptm(1, instances.random_hermiticity_preserving_ptm(1, rng))
+        s = SuperOperator(1, instances.random_hermiticity_preserving_ptm(1, rng))
         assert identity_fraction(twirl_exact(s)) == identity_fraction(s)
 
 
@@ -57,7 +57,7 @@ class TestTwirlAverage:
     def test_matches_projection(self, rng):
         for n in (1, 2):
             for _ in range(5):
-                s = from_ptm(n, instances.random_hermiticity_preserving_ptm(n, rng))
+                s = SuperOperator(n, instances.random_hermiticity_preserving_ptm(n, rng))
                 assert (
                     np.abs(twirl_average(s).mat - twirl_exact(s).mat).max() < 1e-10
                 )
