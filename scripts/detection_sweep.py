@@ -17,9 +17,8 @@ import argparse
 from math import sqrt
 
 from lindet.cli import write_csv
-from lindet.detector import DetectionParams, run_detection
+from lindet.detector import DetectionParams, resolve_promise, run_detection
 from lindet.instances import dephasing
-from lindet.model import diamond_upper_bound
 
 
 def main() -> None:
@@ -40,12 +39,13 @@ def main() -> None:
     rows = []
     for rate in args.rates:
         lind = dephasing(rate)
+        promise = resolve_promise(lind)
         params_base = dict(
             epsilon=args.epsilon,
             delta=args.delta,
-            k=1,
-            degree=1,
-            l_bound=diamond_upper_bound(lind),
+            k=promise.k,
+            degree=promise.degree,
+            l_bound=promise.l_bound,
             mode=args.mode,
         )
         rejections = 0

@@ -17,7 +17,13 @@ import numpy as np
 
 from lindet.instances import random_lindbladian
 from lindet.model import twirled_generator
-from lindet.superop import exp, from_diagonal, frobenius_normalized, identity_fraction
+from lindet.superop import (
+    exp,
+    from_diagonal,
+    from_lindbladian,
+    frobenius_normalized,
+    identity_fraction,
+)
 from lindet.twirl import trotter_error_bound, trotterized_twirled
 
 
@@ -30,15 +36,16 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     lind = random_lindbladian(2, rng)
+    gen = from_lindbladian(lind)
     target = exp(from_diagonal(twirled_generator(lind)), args.t)
     print(f"total time t = {args.t}, seed = {args.seed}")
     print(f"{'m':>6}  {'frobenius dev':>14}  {'|delta I|':>12}  {'bound':>12}")
     for m in args.slices:
         tau = args.t / m
-        composed = trotterized_twirled(lind, tau, m)
+        composed = trotterized_twirled(gen, tau, m)
         dev = frobenius_normalized(composed - target)
         di = abs(identity_fraction(composed) - identity_fraction(target))
-        bound = trotter_error_bound(lind, tau, m)
+        bound = trotter_error_bound(gen, tau, m)
         print(f"{m:>6}  {dev:14.3e}  {di:12.3e}  {bound:12.3e}")
 
 

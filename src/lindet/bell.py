@@ -17,15 +17,9 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConsistencyError, DomainError
-from .model import Lindbladian
 from .paulis import chi_table, indices_from_codes, letters_from_codes, sample_codes
-from .superop import (
-    STRUCT_TOL,
-    SuperOperator,
-    exp,
-    from_lindbladian,
-    identity_fraction,
-)
+from .superop import STRUCT_TOL, SuperOperator, exp, identity_fraction
+from .superop import from_lindbladian  # noqa: F401  (bench/tracing.py wraps it here)
 from .twirl import trotterized_twirled
 
 logger = logging.getLogger(__name__)
@@ -98,12 +92,11 @@ def sampled_frame_channel(
 
 
 def run_round(
-    lind: Lindbladian,
+    generator: SuperOperator,
     t_max: float,
     m: int,
     mode: RoundMode,
     rng: np.random.Generator,
-    generator: SuperOperator | None = None,
 ) -> RoundOutcome:
     """Simulate one detection round: draw t ~ U[0, t_max], compose m slices
     of duration tau = t/m, and draw the Bell outcome.
@@ -121,14 +114,12 @@ def run_round(
         raise DomainError(f"unknown round mode {mode!r}")
     t = float(rng.uniform(0.0, t_max))
     tau = t / m
-    if generator is None:
-        generator = from_lindbladian(lind)
     if mode == "sampled_pauli":
-        codes = sample_codes(lind.n, m, rng)
+        codes = sample_codes(generator.n, m, rng)
         channel = sampled_frame_channel(generator, tau, indices_from_codes(codes))
         frames = letters_from_codes(codes)
     else:
-        channel = trotterized_twirled(lind, tau, m, generator=generator)
+        channel = trotterized_twirled(generator, tau, m)
         frames = ""
     p = _clamp_probability(identity_fraction(channel))
     stayed_identity = bool(rng.random() < p)

@@ -278,13 +278,14 @@ def check_trotter_bounds(trials: int, rng: np.random.Generator) -> CheckResult:
         sub = np.random.default_rng(seed)
         n = int(sub.integers(1, 3))
         lind = instances.random_lindbladian(n, sub, k_max=min(2, n))
+        gen = from_lindbladian(lind)
         target_gen = from_diagonal(twirled_generator(lind))
         for t in (0.01, 0.1, 0.5):
             for m in (1, 4, 16):
                 tau = t / m
-                composed = trotterized_twirled(lind, tau, m)
+                composed = trotterized_twirled(gen, tau, m)
                 target = exp(target_gen, t)
-                bound = trotter_error_bound(lind, tau, m)
+                bound = trotter_error_bound(gen, tau, m)
                 dn_lower = diamond_bounds(composed - target)[0]
                 _record(
                     result,

@@ -33,16 +33,11 @@ from .detector import (
     DetectionReport,
     Overrides,
     derive_parameters,
+    resolve_promise,
     run_detection,
-    theoretical_budgets,
 )
 from .errors import LindetError
-from .model import (
-    Lindbladian,
-    derive_locality_degree,
-    diamond_upper_bound,
-    twirled_generator,
-)
+from .model import Lindbladian, twirled_generator
 from .bell import bell_distribution
 from .paulis import enumerate_all
 from .superop import (
@@ -57,6 +52,16 @@ from .superop import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
+
+
+def _say(line: str) -> None:
+    """Print one line to stdout and flush it. If the reader has closed stdout
+    (as `| head` does), point stdout at the null device, so that neither later
+    lines nor the flush at exit fail, and let the command carry on."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _fmt(value: float) -> str:
@@ -79,24 +84,22 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
     seed = secrets.randbits(63)
-    print(f"seed: {seed} (drawn from entropy; pass --seed to replay)")
+    _say(f"seed: {seed} (drawn from entropy; pass --seed to replay)")
     return seed
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     config, lind = _load(args.config)
-    derived_k, derived_degree = derive_locality_degree(lind.dissipator)
-    l_bound = args.l_bound if args.l_bound is not None else diamond_upper_bound(lind)
-    if l_bound <= 0:
-        l_bound = 1.0  # zero generator: any positive bound is a valid promise
+    seed = _resolve_seed(args)
+    promise = resolve_promise(lind, args.k, args.degree, args.l_bound)
     params = DetectionParams(
         epsilon=args.epsilon,
         delta=args.delta,
-        k=args.k if args.k is not None else derived_k or 1,
-        degree=args.degree if args.degree is not None else derived_degree or 1,
-        l_bound=l_bound,
+        k=promise.k,
+        degree=promise.degree,
+        l_bound=promise.l_bound,
         mode=args.mode,
-        seed=_resolve_seed(args),
+        seed=seed,
         overrides=Overrides(
             m=args.override_m,
             rounds=args.override_rounds,
@@ -105,34 +108,23 @@ def cmd_detect(args: argparse.Namespace) -> int:
     )
     report = run_detection(lind, params, max_qubits=config.capacity)
     if args.out:
-        payload = report.to_dict()
-        if not args.full_report:
-            for round_dict in payload["rounds"]:
-                round_dict.pop("pauli_frames")
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(report.to_dict(frames=args.full_report), fh, indent=2)
             fh.write("\n")
-    try:
-        _print_report_summary(report)
-        if args.out:
-            print(f"report written to {args.out}")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early (as `| head` does). The report is
-        # written and the verdict stands; point stdout at the null device so
-        # the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    _print_report_summary(report)
+    if args.out:
+        _say(f"report written to {args.out}")
     return EXIT_OK if report.verdict == "ACCEPT" else EXIT_REJECT
 
 
 def _print_report_summary(report: DetectionReport) -> None:
-    print(f"verdict: {report.verdict}")
-    print(
+    _say(f"verdict: {report.verdict}")
+    _say(
         f"epsilon' = {report.epsilon_prime:.6g}, m = {report.m}, "
         f"R = {report.rounds_planned}, t_max = {report.t_max:.6g} "
         "(round count uses natural logarithms)"
     )
-    print(
+    _say(
         f"rounds executed: {len(report.rounds)}"
         + (
             f" (first rejection at round {report.rejecting_round})"
@@ -140,16 +132,16 @@ def _print_report_summary(report: DetectionReport) -> None:
             else ""
         )
     )
-    print(
+    _say(
         f"realized totals: evolution time {report.total_evolution_time:.6g}, "
         f"queries {report.query_count}"
     )
-    print(
+    _say(
         f"worst-case bounds (reference): T = {report.t_bound:.6g}, "
         f"Q = {report.q_bound}"
     )
     for warning in report.warnings:
-        print(f"warning: {warning}")
+        _say(f"warning: {warning}")
 
 
 CURVE_HEADER = "t,i_exact,i_twirled,purity"
@@ -182,7 +174,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     if args.t_max <= 0:
         raise LindetError(f"t-max must be positive, got {args.t_max}")
     write_csv(args.out, CURVE_HEADER, curve_rows(args.config, args.t_max, args.points))
-    print(f"{args.points} samples written to {args.out}")
+    _say(f"{args.points} samples written to {args.out}")
     return EXIT_OK
 
 
@@ -190,7 +182,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     config, lind = _load(args.config)
     vals = eigenvalues(from_lindbladian(lind, max_qubits=config.capacity))
     write_csv(args.out, "re,im", [(float(v.real), float(v.imag)) for v in vals])
-    print(f"{vals.size} eigenvalues written to {args.out}")
+    _say(f"{vals.size} eigenvalues written to {args.out}")
     return EXIT_OK
 
 
@@ -204,23 +196,20 @@ def cmd_bell_dist(args: argparse.Namespace) -> int:
         fh.write("pauli,probability\n")
         for p, prob in zip(enumerate_all(lind.n, max_qubits=6), probs):
             fh.write(f"{p},{_fmt(float(prob))}\n")
-    print(f"{probs.size} outcomes written to {args.out}")
+    _say(f"{probs.size} outcomes written to {args.out}")
     return EXIT_OK
 
 
 def cmd_params(args: argparse.Namespace) -> int:
     derived = derive_parameters(
-        args.epsilon, args.delta, args.k, args.degree, args.l_bound
-    )
-    t_bound, q_bound = theoretical_budgets(
         DetectionParams(args.epsilon, args.delta, args.k, args.degree, args.l_bound)
     )
-    print(f"epsilon' = {_fmt(derived.epsilon_prime)}")
-    print(f"m = {derived.m}")
-    print(f"R = {derived.rounds}")
-    print(f"t_max = {_fmt(derived.t_max)}")
-    print(f"T_bound = {_fmt(t_bound)}")
-    print(f"Q_bound = {q_bound}")
+    _say(f"epsilon' = {_fmt(derived.epsilon_prime)}")
+    _say(f"m = {derived.m}")
+    _say(f"R = {derived.rounds}")
+    _say(f"t_max = {_fmt(derived.t_max)}")
+    _say(f"T_bound = {_fmt(derived.t_bound)}")
+    _say(f"Q_bound = {derived.q_bound}")
     return EXIT_OK
 
 
@@ -228,9 +217,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     results = checks.run_suite(args.suite, args.trials, seed)
     for result in results:
-        print(result.summary())
+        _say(result.summary())
         for failure in result.failures[:10]:
-            print(
+            _say(
                 f"    seed={failure.seed} {failure.label}: lhs={failure.lhs:.12g} "
                 f"rhs={failure.rhs:.12g} margin={failure.margin:.3e}"
             )

@@ -75,14 +75,32 @@ class DetectionParams:
             raise DomainError(f"generator bound must be positive, got {self.l_bound}")
         if self.overrides.t_max_factor <= 0:
             raise DomainError("t_max_factor must be positive")
+        overridden = (self.overrides.m, self.overrides.rounds)
+        if any(v is not None and v < 1 for v in overridden):
+            raise DomainError("overrides must keep m >= 1 and rounds >= 1")
 
 
 @dataclass(frozen=True)
 class DerivedParams:
+    """The constants in effect (overrides applied) and the worst-case budgets."""
+
     epsilon_prime: float
     m: int
     rounds: int
     t_max: float
+    t_bound: float
+    q_bound: int
+
+
+@dataclass(frozen=True)
+class Promise:
+    """The promise (k, Delta, L) resolved against a generator; ``warnings``
+    notes a supplied L below the computable bound."""
+
+    k: int
+    degree: int
+    l_bound: float
+    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -101,8 +119,16 @@ class DetectionReport:
     q_bound: int
     warnings: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        out = {
+    def to_dict(self, frames: bool = True) -> dict:
+        """JSON-ready report; ``frames=False`` skips rendering the Pauli frames."""
+        rounds = [
+            {"rejected": r.rejected, "t_used": r.t_used, "p_identity": r.p_identity}
+            for r in self.rounds
+        ]
+        if frames:
+            for row, r in zip(rounds, self.rounds):
+                row["pauli_frames"] = split_letters(r.pauli_frames, self.m)
+        return {
             "verdict": self.verdict,
             "epsilon_prime": self.epsilon_prime,
             "m": self.m,
@@ -115,59 +141,72 @@ class DetectionReport:
             "q_bound": self.q_bound,
             "warnings": list(self.warnings),
             "params": asdict(self.params),
-            "rounds": [
-                {
-                    "rejected": r.rejected,
-                    "t_used": r.t_used,
-                    "p_identity": r.p_identity,
-                    "pauli_frames": split_letters(r.pauli_frames, self.m),
-                }
-                for r in self.rounds
-            ],
+            "rounds": rounds,
         }
-        return out
 
 
-def derive_parameters(
-    epsilon: float,
-    delta: float,
-    k: int,
-    degree: int,
-    l_bound: float,
-    t_max_factor: float = 1.0,
-) -> DerivedParams:
-    """Evaluate the constants of the procedure for a given promise."""
-    params = DetectionParams(epsilon, delta, k, degree, l_bound)  # validates
-    del params
-    if t_max_factor <= 0:
-        raise DomainError("t_max_factor must be positive")
-    sparsity = (4 * degree) ** k + 1
-    epsilon_prime = epsilon / (2 * sparsity)
-    log_term = -math.log(delta)
-    rounds = max(1, math.ceil((40 * 9**k) / 3 * log_term))
-    m = math.ceil(192 * 9 ** (k - 1) * sparsity**2 * l_bound**2 / epsilon**2)
-    t_max = t_max_factor * (2 * sparsity) / epsilon
-    return DerivedParams(epsilon_prime, m, rounds, t_max)
+def resolve_promise(
+    lind: Lindbladian,
+    k: int | None = None,
+    degree: int | None = None,
+    l_bound: float | None = None,
+) -> Promise:
+    """Resolve the promise (k, Delta, L) of a detection run against ``lind``.
 
-
-def theoretical_budgets(params: DetectionParams) -> tuple[float, int]:
-    """Worst-case total evolution time and query count, evaluated verbatim.
-
-    The query-count expression is printed for reference; realized budgets in
-    a report always come from m times the number of executed rounds.
+    An omitted k or Delta takes the generator's derived value (1 when it has
+    no jumps); a given pair must equal the derived one unless there are no
+    jumps. An omitted L takes the computable diamond-norm bound (1.0 for the
+    zero generator, for which any positive bound holds); a supplied L is kept
+    as given and flagged when below that bound.
     """
-    k, degree = params.k, params.degree
+    derived_k, derived_degree = derive_locality_degree(lind.dissipator)
+    k = (derived_k or 1) if k is None else k
+    degree = (derived_degree or 1) if degree is None else degree
+    if not lind.dissipator.is_empty and (k, degree) != (derived_k, derived_degree):
+        raise DomainError(
+            f"declared locality/degree ({k}, {degree}) do not "
+            f"match the generator's derived values ({derived_k}, {derived_degree})"
+        )
+    actual_bound = diamond_upper_bound(lind)
+    if l_bound is None:
+        return Promise(k, degree, actual_bound if actual_bound > 0 else 1.0)
+    warnings: tuple[str, ...] = ()
+    if l_bound < actual_bound - 1e-12:
+        warnings = (
+            f"supplied generator bound {l_bound:.6g} is below the "
+            f"computable bound {actual_bound:.6g}; the promise may not hold",
+        )
+    return Promise(k, degree, l_bound, warnings)
+
+
+def derive_parameters(params: DetectionParams) -> DerivedParams:
+    """Evaluate the constants of the procedure for a given promise, with the
+    overrides applied, and the worst-case budgets T and Q.
+
+    T and Q are evaluated verbatim and printed for reference; realized
+    budgets in a report always come from m times the number of executed
+    rounds.
+    """
+    epsilon, k, degree = params.epsilon, params.k, params.degree
+    sparsity = (4 * degree) ** k + 1
     log_term = -math.log(params.delta)
-    t_bound = (80 * 9**k) / 3 * ((4 * degree) ** k + 1) * log_term / params.epsilon
-    q_bound = math.ceil(
-        2560
-        * 9 ** (2 * k - 1)
-        * (4 * degree + 1) ** 2
-        * params.l_bound**2
-        * log_term
-        / params.epsilon**2
+    m = math.ceil(192 * 9 ** (k - 1) * sparsity**2 * params.l_bound**2 / epsilon**2)
+    rounds = max(1, math.ceil((40 * 9**k) / 3 * log_term))
+    return DerivedParams(
+        epsilon_prime=epsilon / (2 * sparsity),
+        m=m if params.overrides.m is None else params.overrides.m,
+        rounds=rounds if params.overrides.rounds is None else params.overrides.rounds,
+        t_max=params.overrides.t_max_factor * (2 * sparsity) / epsilon,
+        t_bound=(80 * 9**k) / 3 * sparsity * log_term / epsilon,
+        q_bound=math.ceil(
+            2560
+            * 9 ** (2 * k - 1)
+            * (4 * degree + 1) ** 2
+            * params.l_bound**2
+            * log_term
+            / epsilon**2
+        ),
     )
-    return t_bound, q_bound
 
 
 def _thread_count() -> int:
@@ -177,24 +216,6 @@ def _thread_count() -> int:
     except ValueError:
         logger.warning("ignoring invalid %s=%r", THREADS_ENV_VAR, raw)
         return 1
-
-
-def _validate_promise(lind: Lindbladian, params: DetectionParams) -> list[str]:
-    warnings: list[str] = []
-    derived_k, derived_degree = derive_locality_degree(lind.dissipator)
-    if not lind.dissipator.is_empty:
-        if (params.k, params.degree) != (derived_k, derived_degree):
-            raise DomainError(
-                f"declared locality/degree ({params.k}, {params.degree}) do not "
-                f"match the generator's derived values ({derived_k}, {derived_degree})"
-            )
-    actual_bound = diamond_upper_bound(lind)
-    if params.l_bound < actual_bound - 1e-12:
-        warnings.append(
-            f"supplied generator bound {params.l_bound:.6g} is below the "
-            f"computable bound {actual_bound:.6g}; the promise may not hold"
-        )
-    return warnings
 
 
 def run_detection(
@@ -210,76 +231,50 @@ def run_detection(
     but only outcomes consumed in order up to the stopping point are counted.
     """
     check_capacity(lind.n, max_qubits)
-    warnings = _validate_promise(lind, params)
-    derived = derive_parameters(
-        params.epsilon,
-        params.delta,
-        params.k,
-        params.degree,
-        params.l_bound,
-        params.overrides.t_max_factor,
-    )
-    m = params.overrides.m if params.overrides.m is not None else derived.m
-    rounds_planned = (
-        params.overrides.rounds
-        if params.overrides.rounds is not None
-        else derived.rounds
-    )
-    if m < 1 or rounds_planned < 1:
-        raise DomainError("overrides must keep m >= 1 and rounds >= 1")
+    promise = resolve_promise(lind, params.k, params.degree, params.l_bound)
+    warnings = list(promise.warnings)
+    derived = derive_parameters(params)
     if (params.overrides.m, params.overrides.rounds) != (None, None):
         warnings.append(
-            f"overridden constants in effect: m={m}, rounds={rounds_planned}"
+            f"overridden constants in effect: m={derived.m}, rounds={derived.rounds}"
         )
 
     generator = from_lindbladian(lind, max_qubits)
 
     def one_round(index: int) -> RoundOutcome:
         rng = np.random.default_rng(np.random.SeedSequence((params.seed, index)))
-        return run_round(
-            lind, derived.t_max, m, params.mode, rng, generator=generator
-        )
+        return run_round(generator, derived.t_max, derived.m, params.mode, rng)
 
     consumed: list[RoundOutcome] = []
     rejecting_round: int | None = None
     workers = _thread_count()
-    if workers == 1:
-        for i in range(rounds_planned):
-            outcome = one_round(i)
-            consumed.append(outcome)
-            if outcome.rejected:
-                rejecting_round = i
-                break
-    else:
-        # Chunked execution: rounds within a chunk may run concurrently, but
-        # outcomes are consumed strictly in index order.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            start = 0
-            while start < rounds_planned and rejecting_round is None:
-                stop = min(start + workers, rounds_planned)
-                for i, outcome in zip(
-                    range(start, stop), pool.map(one_round, range(start, stop))
-                ):
-                    consumed.append(outcome)
-                    if outcome.rejected:
-                        rejecting_round = i
-                        break
-                start = stop
+    # Rounds run in chunks of `workers` and may run concurrently within a
+    # chunk, but outcomes are consumed strictly in index order. At one worker
+    # the builtin map runs each round in this thread when it is consumed.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        run_chunk = map if workers == 1 else pool.map
+        start = 0
+        while start < derived.rounds and rejecting_round is None:
+            chunk = range(start, min(start + workers, derived.rounds))
+            for i, outcome in zip(chunk, run_chunk(one_round, chunk)):
+                consumed.append(outcome)
+                if outcome.rejected:
+                    rejecting_round = i
+                    break
+            start = chunk.stop
 
-    verdict: Verdict = "REJECT" if rejecting_round is not None else "ACCEPT"
-    t_bound, q_bound = theoretical_budgets(params)
     return DetectionReport(
-        verdict=verdict,
+        verdict="REJECT" if rejecting_round is not None else "ACCEPT",
         epsilon_prime=derived.epsilon_prime,
-        m=m,
-        rounds_planned=rounds_planned,
+        m=derived.m,
+        rounds_planned=derived.rounds,
         t_max=derived.t_max,
         rounds=tuple(consumed),
         rejecting_round=rejecting_round,
         total_evolution_time=float(sum(r.t_used for r in consumed)),
-        query_count=m * len(consumed),
+        query_count=derived.m * len(consumed),
         params=params,
-        t_bound=t_bound,
-        q_bound=q_bound,
+        t_bound=derived.t_bound,
+        q_bound=derived.q_bound,
         warnings=tuple(warnings),
     )

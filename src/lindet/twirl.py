@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .model import Lindbladian
 from .paulis import chi_table
-from .superop import SuperOperator, compose, diamond_bounds, exp, from_lindbladian
+from .superop import SuperOperator, compose, diamond_bounds, exp
+from .superop import from_lindbladian  # noqa: F401  (bench/tracing.py wraps it here)
 
 TWIRL_AVERAGE_MAX_QUBITS = 3
 
@@ -40,41 +40,26 @@ def twirl_average(s: SuperOperator) -> SuperOperator:
     return SuperOperator(s.n, acc / signs.shape[0])
 
 
-def twirled_step(
-    lind: Lindbladian, tau: float, generator: SuperOperator | None = None
-) -> SuperOperator:
+def twirled_step(generator: SuperOperator, tau: float) -> SuperOperator:
     """One twirled short-time slice: the diagonal projection of e^(tau L).
 
     CPTP, since twirling is a convex mixture of unitary conjugations composed
-    with a channel. A precomputed generator realization may be supplied to
-    skip the rebuild (and its default capacity check).
+    with a channel.
     """
     if tau < 0:
         raise DomainError(f"slice time must be non-negative, got {tau}")
-    if generator is None:
-        generator = from_lindbladian(lind)
     return twirl_exact(exp(generator, tau))
 
 
-def trotterized_twirled(
-    lind: Lindbladian,
-    tau: float,
-    m: int,
-    generator: SuperOperator | None = None,
-) -> SuperOperator:
+def trotterized_twirled(generator: SuperOperator, tau: float, m: int) -> SuperOperator:
     """m-fold composition of the twirled slice (matrix power of its PTM)."""
     if m < 1:
         raise DomainError(f"slice count must be at least 1, got m={m}")
-    step = twirled_step(lind, tau, generator)
-    return SuperOperator(lind.n, np.linalg.matrix_power(step.mat, m))
+    step = twirled_step(generator, tau)
+    return SuperOperator(generator.n, np.linalg.matrix_power(step.mat, m))
 
 
-def trotter_error_bound(
-    lind: Lindbladian,
-    tau: float,
-    m: int,
-    generator: SuperOperator | None = None,
-) -> float:
+def trotter_error_bound(generator: SuperOperator, tau: float, m: int) -> float:
     """Upper bound on ||(twirled slice)^m - e^(tau m T(L))||_diamond.
 
     Evaluates m (tau^2/2 ||T(L^2) - (T(L))^2||_dia + tau^3/3 ||L||_dia^3) with
@@ -87,9 +72,8 @@ def trotter_error_bound(
         raise DomainError(f"slice count must be at least 1, got m={m}")
     if tau == 0:
         return 0.0
-    gen = from_lindbladian(lind) if generator is None else generator
-    twirled_of_square = twirl_exact(compose(gen, gen))
-    square_of_twirled = compose(twirl_exact(gen), twirl_exact(gen))
+    twirled_of_square = twirl_exact(compose(generator, generator))
+    square_of_twirled = compose(twirl_exact(generator), twirl_exact(generator))
     defect_ub = diamond_bounds(twirled_of_square - square_of_twirled)[1]
-    gen_ub = diamond_bounds(gen)[1]
+    gen_ub = diamond_bounds(generator)[1]
     return m * (tau**2 / 2.0 * defect_ub + tau**3 / 3.0 * gen_ub**3)

@@ -26,7 +26,6 @@ from lindet.detector import (
     Overrides,
     derive_parameters,
     run_detection,
-    theoretical_budgets,
 )
 from lindet.model import diamond_upper_bound, twirled_generator
 from lindet.superop import (
@@ -115,7 +114,8 @@ def test_criterion_02_hamiltonian_completeness():
         # the bound m (tau^2 a + tau^3 b) with tau = t/m, scaled from t_top by
         # (t/t_top)^2, stays an upper bound for every t <= t_top
         t_top = max(times)
-        half_bound = trotter_error_bound(lind, t_top / rep.m, rep.m) / 2
+        gen = from_lindbladian(lind)
+        half_bound = trotter_error_bound(gen, t_top / rep.m, rep.m) / 2
         scaled = [half_bound * (t / t_top) ** 2 for t in times]
         bound_ok = all(d <= b + 1e-12 for d, b in zip(deficits, scaled))
         worst_ratio = max(worst_ratio, *(d / b for d, b in zip(deficits, scaled)))
@@ -231,15 +231,16 @@ def test_criterion_09_trotter_bell_consistency():
     for index in range(30):
         n = 1 + index % 2
         lind = instances.random_lindbladian(n, rng, k_max=min(2, n))
+        gen = from_lindbladian(lind)
         target_gen = from_diagonal(twirled_generator(lind))
         for t in (0.01, 0.1, 0.5):
             for m in (1, 4, 16):
-                composed = trotterized_twirled(lind, t / m, m)
+                composed = trotterized_twirled(gen, t / m, m)
                 gap = abs(
                     identity_fraction(composed)
                     - identity_fraction(exp(target_gen, t))
                 )
-                budget = trotter_error_bound(lind, t / m, m) / 2
+                budget = trotter_error_bound(gen, t / m, m) / 2
                 if gap > budget + 1e-9:
                     violations += 1
                 if budget > 0:
@@ -254,8 +255,8 @@ def test_criterion_09_trotter_bell_consistency():
 
 
 def test_criterion_10_parameter_arithmetic():
-    derived = derive_parameters(0.5, math.exp(-1), 1, 1, 1.0)
-    t_bound, _ = theoretical_budgets(DetectionParams(0.5, math.exp(-1), 1, 1, 1.0))
+    derived = derive_parameters(DetectionParams(0.5, math.exp(-1), 1, 1, 1.0))
+    t_bound = derived.t_bound
     exact = (
         derived.epsilon_prime == 0.05
         and derived.m == 19200
@@ -263,11 +264,8 @@ def test_criterion_10_parameter_arithmetic():
         and derived.t_max == 20.0
         and t_bound == 2400.0
     )
-    halved = derive_parameters(0.25, math.exp(-1), 1, 1, 1.0)
-    t_bound_halved, _ = theoretical_budgets(
-        DetectionParams(0.25, math.exp(-1), 1, 1, 1.0)
-    )
-    scaling = halved.t_max == 2 * derived.t_max and t_bound_halved == 2 * t_bound
+    halved = derive_parameters(DetectionParams(0.25, math.exp(-1), 1, 1, 1.0))
+    scaling = halved.t_max == 2 * derived.t_max and halved.t_bound == 2 * t_bound
     ok = exact and scaling
     assert report(
         10,

@@ -75,7 +75,7 @@ class TestSampledFrameChannel:
         )
         gen = from_lindbladian(lind)
         t, m = 1.3, 3
-        target = identity_fraction(trotterized_twirled(lind, t / m, m))
+        target = identity_fraction(trotterized_twirled(gen, t / m, m))
         draws = 1000
         values = np.empty(draws)
         for i in range(draws):
@@ -95,25 +95,25 @@ class TestSampledFrameChannel:
 
 class TestRunRound:
     def test_zero_generator_certain_identity(self, rng):
-        lind = instances.hamiltonian_only(1, [])
+        gen = from_lindbladian(instances.hamiltonian_only(1, []))
         for mode in ("sampled_pauli", "averaged"):
-            outcome = run_round(lind, 2.0, 4, mode, np.random.default_rng(1))
+            outcome = run_round(gen, 2.0, 4, mode, np.random.default_rng(1))
             assert outcome.p_identity == 1.0
             assert not outcome.rejected
 
     def test_averaged_hamiltonian_closed_form(self):
         omega, m = 0.8, 8
-        lind = instances.hamiltonian_only(1, [("Z", omega)])
+        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
         rng = np.random.default_rng(4)
-        outcome = run_round(lind, 2.0, m, "averaged", rng)
+        outcome = run_round(gen, 2.0, m, "averaged", rng)
         t = outcome.t_used
         expected = (2 + 2 * np.cos(2 * omega * t / m) ** m) / 4
         assert outcome.p_identity == pytest.approx(expected, abs=1e-9)
         assert outcome.pauli_frames == ""
 
     def test_sampled_records_frames(self, rng):
-        lind = instances.dephasing(1.0)
-        outcome = run_round(lind, 2.0, 6, "sampled_pauli", rng)
+        gen = from_lindbladian(instances.dephasing(1.0))
+        outcome = run_round(gen, 2.0, 6, "sampled_pauli", rng)
         assert len(outcome.pauli_frames) == 6
         assert set(outcome.pauli_frames) <= set("IXYZ")
         assert 0.0 <= outcome.p_identity <= 1.0
@@ -121,27 +121,26 @@ class TestRunRound:
 
     def test_frame_record_is_one_byte_per_letter(self):
         m = 10**5
-        lind = instances.dephasing(1.0, n=2)
-        outcome = run_round(lind, 2.0, m, "sampled_pauli", np.random.default_rng(6))
+        gen = from_lindbladian(instances.dephasing(1.0, n=2))
+        outcome = run_round(gen, 2.0, m, "sampled_pauli", np.random.default_rng(6))
         assert len(outcome.pauli_frames) == 2 * m
         assert sys.getsizeof(outcome.pauli_frames) <= 2 * m + 100
 
     def test_deterministic_replay(self):
-        lind = instances.dephasing(1.0)
-        a = run_round(lind, 2.0, 5, "sampled_pauli", np.random.default_rng(3))
-        b = run_round(lind, 2.0, 5, "sampled_pauli", np.random.default_rng(3))
+        gen = from_lindbladian(instances.dephasing(1.0))
+        a = run_round(gen, 2.0, 5, "sampled_pauli", np.random.default_rng(3))
+        b = run_round(gen, 2.0, 5, "sampled_pauli", np.random.default_rng(3))
         assert a == b
 
     def test_mean_p_identity_matches_time_average(self):
         # dephasing at rate 2: I(t) = (1 + exp(-4 t)) / 2, averaged over
         # t ~ U[0, 2] gives 1/2 + (1 - exp(-8)) / 16
-        lind = instances.dephasing(2.0)
-        gen = from_lindbladian(lind)
+        gen = from_lindbladian(instances.dephasing(2.0))
         rng = np.random.default_rng(5)
         draws = 2000
         values = np.array(
             [
-                run_round(lind, 2.0, 64, "averaged", rng, generator=gen).p_identity
+                run_round(gen, 2.0, 64, "averaged", rng).p_identity
                 for _ in range(draws)
             ]
         )
@@ -152,12 +151,11 @@ class TestRunRound:
     def test_rejection_rate_matches_probability(self):
         # the Bernoulli draw uses p_identity: empirical rejection frequency
         # over many rounds must match 1 - mean(p_identity)
-        lind = instances.dephasing(2.0)
-        gen = from_lindbladian(lind)
+        gen = from_lindbladian(instances.dephasing(2.0))
         rng = np.random.default_rng(6)
         draws = 2000
         outcomes = [
-            run_round(lind, 2.0, 8, "averaged", rng, generator=gen)
+            run_round(gen, 2.0, 8, "averaged", rng)
             for _ in range(draws)
         ]
         rejected = np.array([o.rejected for o in outcomes])
@@ -166,10 +164,10 @@ class TestRunRound:
         assert abs(rejected.mean() - (1 - p_mean)) < 4 * se
 
     def test_domain_errors(self, rng):
-        lind = instances.dephasing(1.0)
+        gen = from_lindbladian(instances.dephasing(1.0))
         with pytest.raises(DomainError):
-            run_round(lind, 0.0, 4, "averaged", rng)
+            run_round(gen, 0.0, 4, "averaged", rng)
         with pytest.raises(DomainError):
-            run_round(lind, 1.0, 0, "averaged", rng)
+            run_round(gen, 1.0, 0, "averaged", rng)
         with pytest.raises(DomainError):
-            run_round(lind, 1.0, 4, "bogus", rng)
+            run_round(gen, 1.0, 4, "bogus", rng)

@@ -386,33 +386,53 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_detect_out_with_closed_stdout(self, tmp_path, unbuffered):
-        # `lindet detect --out r.json | true`: the reader of stdout is gone
-        # before the summary is printed
-        report = tmp_path / "r.json"
+        # `lindet ... | true`: the reader of stdout is gone before the first
+        # line is printed; every command still ends with its own exit code
         env = dict(os.environ, PYTHONPATH=str(Path(lindet.__file__).parents[1]))
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        try:
-            proc = subprocess.run(
-                [
-                    sys.executable, "-m", "lindet.cli", "--seed", "7", "detect",
-                    "--config", f"{CONFIGS}/dephasing_strong.yaml",
-                    "--epsilon", "0.5", "--delta", "0.1", "--mode", "averaged",
-                    "--out", str(report),
-                ],
-                stdout=write_end,
-                stderr=subprocess.PIPE,
-                env=env,
-                timeout=120,
-            )
-        finally:
-            os.close(write_end)
-        payload = json.loads(report.read_text())
-        assert proc.returncode == (2 if payload["verdict"] == "REJECT" else 0)
-        assert proc.stderr == b""
+
+        def run(args):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                return subprocess.run(
+                    [sys.executable, "-m", "lindet.cli", *args],
+                    stdout=write_end,
+                    stderr=subprocess.PIPE,
+                    env=env,
+                    timeout=120,
+                )
+            finally:
+                os.close(write_end)
+
+        detect = [
+            "detect", "--config", f"{CONFIGS}/dephasing_strong.yaml",
+            "--epsilon", "0.5", "--delta", "0.1", "--mode", "averaged",
+        ]
+        # with and without --seed: the drawn-seed line comes before the run
+        for seed in (["--seed", "7"], []):
+            report = tmp_path / f"r{len(seed)}.json"
+            proc = run([*seed, *detect, "--out", str(report)])
+            payload = json.loads(report.read_text())
+            assert proc.returncode == (2 if payload["verdict"] == "REJECT" else 0)
+            assert proc.stderr == b""
+        proc = run(["--seed", "3", "verify", "--trials", "5"])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("l_bound", ["-3", "0"])
+    def test_detect_rejects_non_positive_l_bound(self, capsys, l_bound):
+        code = main(
+            [
+                "--seed", "1", "detect",
+                "--config", f"{CONFIGS}/dephasing_strong.yaml",
+                "--epsilon", "0.5", "--delta", "0.1", "--mode", "averaged",
+                "--l-bound", l_bound,
+            ]
+        )
+        assert code == 1
+        assert "generator bound must be positive" in capsys.readouterr().err
 
     def test_detect_missing_file(self):
         code = main(

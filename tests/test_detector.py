@@ -12,7 +12,6 @@ from lindet.detector import (
     Overrides,
     derive_parameters,
     run_detection,
-    theoretical_budgets,
 )
 from lindet.errors import DomainError
 from lindet.model import diamond_upper_bound
@@ -35,50 +34,49 @@ def dephasing_setup(mode="averaged", seed=0, **kwargs):
 
 class TestDeriveParameters:
     def test_reference_point(self):
-        derived = derive_parameters(0.5, math.exp(-1), 1, 1, 1.0)
+        derived = derive_parameters(DetectionParams(0.5, math.exp(-1), 1, 1, 1.0))
         assert derived.epsilon_prime == 0.05
         assert derived.m == 19200
         assert derived.rounds == 120
         assert derived.t_max == 20.0
 
     def test_locality_two(self):
-        derived = derive_parameters(0.5, math.exp(-1), 2, 1, 1.0)
+        derived = derive_parameters(DetectionParams(0.5, math.exp(-1), 2, 1, 1.0))
         assert derived.rounds == 1080
         assert derived.epsilon_prime == pytest.approx(0.5 / 34)
 
     def test_round_count_floored_at_one(self):
-        derived = derive_parameters(0.5, 0.9999999, 1, 1, 1.0)
+        derived = derive_parameters(DetectionParams(0.5, 0.9999999, 1, 1, 1.0))
         assert derived.rounds == 1
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            derive_parameters(0.0, 0.1, 1, 1, 1.0)
+            derive_parameters(DetectionParams(0.0, 0.1, 1, 1, 1.0))
         with pytest.raises(DomainError):
-            derive_parameters(0.5, 1.0, 1, 1, 1.0)
+            derive_parameters(DetectionParams(0.5, 1.0, 1, 1, 1.0))
         with pytest.raises(DomainError):
-            derive_parameters(0.5, 0.1, 0, 1, 1.0)
+            derive_parameters(DetectionParams(0.5, 0.1, 0, 1, 1.0))
         with pytest.raises(DomainError):
-            derive_parameters(0.5, 0.1, 1, 1, -1.0)
+            derive_parameters(DetectionParams(0.5, 0.1, 1, 1, -1.0))
         with pytest.raises(DomainError):
-            derive_parameters(0.5, 0.1, 1, 1, 1.0, t_max_factor=0.0)
+            derive_parameters(
+                DetectionParams(
+                    0.5, 0.1, 1, 1, 1.0, overrides=Overrides(t_max_factor=0.0)
+                )
+            )
 
 
 class TestTheoreticalBudgets:
     def test_reference_point(self):
-        t_bound, q_bound = theoretical_budgets(
-            DetectionParams(0.5, math.exp(-1), 1, 1, 1.0)
-        )
-        assert t_bound == 2400.0
-        assert q_bound == 2304000
+        derived = derive_parameters(DetectionParams(0.5, math.exp(-1), 1, 1, 1.0))
+        assert derived.t_bound == 2400.0
+        assert derived.q_bound == 2304000
 
     def test_inverse_epsilon_scaling(self):
-        base = DetectionParams(0.5, math.exp(-1), 1, 1, 1.0)
-        halved = DetectionParams(0.25, math.exp(-1), 1, 1, 1.0)
-        assert theoretical_budgets(halved)[0] == 2 * theoretical_budgets(base)[0]
-        assert (
-            derive_parameters(0.25, math.exp(-1), 1, 1, 1.0).t_max
-            == 2 * derive_parameters(0.5, math.exp(-1), 1, 1, 1.0).t_max
-        )
+        base = derive_parameters(DetectionParams(0.5, math.exp(-1), 1, 1, 1.0))
+        halved = derive_parameters(DetectionParams(0.25, math.exp(-1), 1, 1, 1.0))
+        assert halved.t_bound == 2 * base.t_bound
+        assert halved.t_max == 2 * base.t_max
 
 
 class TestRunDetection:
@@ -205,3 +203,8 @@ class TestRunDetection:
             assert round_dict["pauli_frames"] == letters
         averaged = run_detection(lind, replace(params, mode="averaged"))
         assert all(r["pauli_frames"] == [] for r in averaged.to_dict()["rounds"])
+        # frames=False gives the full report without the frames
+        full = report.to_dict()
+        for round_dict in full["rounds"]:
+            round_dict.pop("pauli_frames")
+        assert json.dumps(report.to_dict(frames=False)) == json.dumps(full)

@@ -77,102 +77,97 @@ class TestTwirlAverage:
 
 class TestTwirledStep:
     def test_zero_time(self, rng):
-        lind = instances.random_lindbladian(1, rng)
-        assert np.allclose(twirled_step(lind, 0.0).mat, np.eye(4))
+        gen = from_lindbladian(instances.random_lindbladian(1, rng))
+        assert np.allclose(twirled_step(gen, 0.0).mat, np.eye(4))
 
     def test_hamiltonian_step_closed_form(self):
         # the twirl of a Z-rotation keeps diagonal (1, cos, cos, 1), so the
         # identity probability is (2 + 2cos(2 w tau)) / 4
         omega, tau = 0.8, 0.37
-        lind = instances.hamiltonian_only(1, [("Z", omega)])
-        step = twirled_step(lind, tau)
+        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        step = twirled_step(gen, tau)
         assert identity_fraction(step) == pytest.approx(
             (2 + 2 * np.cos(2 * omega * tau)) / 4, abs=1e-12
         )
 
     def test_diagonal_dynamics_unchanged(self):
-        lind = instances.dephasing(0.9)
+        gen = from_lindbladian(instances.dephasing(0.9))
         tau = 0.4
-        assert (
-            np.abs(
-                twirled_step(lind, tau).mat - exp(from_lindbladian(lind), tau).mat
-            ).max()
-            < 1e-10
-        )
+        assert np.abs(twirled_step(gen, tau).mat - exp(gen, tau).mat).max() < 1e-10
 
     def test_step_is_cptp(self, rng):
-        lind = instances.random_lindbladian(2, rng)
-        step = twirled_step(lind, 0.3)
+        gen = from_lindbladian(instances.random_lindbladian(2, rng))
+        step = twirled_step(gen, 0.3)
         assert is_trace_preserving(step)
         assert np.linalg.eigvalsh(choi(step).mat).min() >= -1e-10
 
     def test_negative_time(self, rng):
         with pytest.raises(DomainError):
-            twirled_step(instances.dephasing(1.0), -0.5)
+            twirled_step(from_lindbladian(instances.dephasing(1.0)), -0.5)
 
 
 class TestTrotterizedTwirled:
     def test_single_slice(self, rng):
-        lind = instances.random_lindbladian(1, rng)
+        gen = from_lindbladian(instances.random_lindbladian(1, rng))
         tau = 0.2
         assert np.array_equal(
-            trotterized_twirled(lind, tau, 1).mat, twirled_step(lind, tau).mat
+            trotterized_twirled(gen, tau, 1).mat, twirled_step(gen, tau).mat
         )
 
     def test_hamiltonian_closed_form(self):
         omega, t, m = 0.8, 3.0, 16
-        lind = instances.hamiltonian_only(1, [("Z", omega)])
-        composed = trotterized_twirled(lind, t / m, m)
+        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        composed = trotterized_twirled(gen, t / m, m)
         assert identity_fraction(composed) == pytest.approx(
             (2 + 2 * np.cos(2 * omega * t / m) ** m) / 4, abs=1e-12
         )
 
     def test_deviation_shrinks_with_slice_count(self, rng):
         lind = instances.random_lindbladian(2, rng)
+        gen = from_lindbladian(lind)
         t = 0.5
         target = exp(from_diagonal(twirled_generator(lind)), t)
         devs = [
-            frobenius_normalized(trotterized_twirled(lind, t / m, m) - target)
+            frobenius_normalized(trotterized_twirled(gen, t / m, m) - target)
             for m in (1, 4, 16, 64)
         ]
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_output_cptp(self, rng):
-        lind = instances.random_lindbladian(2, rng)
+        gen = from_lindbladian(instances.random_lindbladian(2, rng))
         for t, m in ((0.1, 4), (0.5, 16)):
-            composed = trotterized_twirled(lind, t / m, m)
+            composed = trotterized_twirled(gen, t / m, m)
             assert is_trace_preserving(composed)
             assert np.linalg.eigvalsh(choi(composed).mat).min() >= -1e-10
 
     def test_bad_slice_count(self, rng):
         with pytest.raises(DomainError):
-            trotterized_twirled(instances.dephasing(1.0), 0.1, 0)
+            trotterized_twirled(from_lindbladian(instances.dephasing(1.0)), 0.1, 0)
 
 
 class TestTrotterErrorBound:
     def test_zero_time(self, rng):
-        assert trotter_error_bound(instances.random_lindbladian(1, rng), 0.0, 4) == 0.0
+        gen = from_lindbladian(instances.random_lindbladian(1, rng))
+        assert trotter_error_bound(gen, 0.0, 4) == 0.0
 
     def test_hamiltonian_defect_positive(self):
         # the twirl of the squared rotation generator is a nonzero diagonal
         # while the squared twirled generator vanishes, so the bound is > 0
-        lind = instances.hamiltonian_only(1, [("Z", 1.0)])
-        gen = from_lindbladian(lind)
+        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", 1.0)]))
         t_of_sq = twirl_exact(gen @ gen)
         assert np.abs(twirl_exact(gen).mat).max() < 1e-12
         assert np.abs(t_of_sq.mat).max() > 1.0
-        assert trotter_error_bound(lind, 0.1, 1) > 0.0
+        assert trotter_error_bound(gen, 0.1, 1) > 0.0
 
     def test_diagonal_generator_commutes(self):
         # for diagonal dynamics the quadratic defect vanishes exactly and the
         # bound reduces to the cubic tail
-        lind = instances.dephasing(0.7)
         tau, m = 0.2, 8
-        gen = from_lindbladian(lind)
+        gen = from_lindbladian(instances.dephasing(0.7))
         defect = twirl_exact(gen @ gen) - (twirl_exact(gen) @ twirl_exact(gen))
         assert np.abs(defect.mat).max() < 1e-12
         ub = diamond_bounds(gen)[1]
-        assert trotter_error_bound(lind, tau, m) == pytest.approx(
+        assert trotter_error_bound(gen, tau, m) == pytest.approx(
             m * tau**3 / 3 * ub**3, rel=1e-9
         )
 
@@ -180,12 +175,13 @@ class TestTrotterErrorBound:
         # the detector budgets the identity-probability gap at half the bound
         for _ in range(5):
             lind = instances.random_lindbladian(2, rng)
+            gen = from_lindbladian(lind)
             target_gen = from_diagonal(twirled_generator(lind))
             for t in (0.01, 0.1, 0.5):
                 for m in (1, 4, 16):
-                    composed = trotterized_twirled(lind, t / m, m)
+                    composed = trotterized_twirled(gen, t / m, m)
                     target = exp(target_gen, t)
-                    bound = trotter_error_bound(lind, t / m, m)
+                    bound = trotter_error_bound(gen, t / m, m)
                     gap = abs(
                         identity_fraction(composed) - identity_fraction(target)
                     )
