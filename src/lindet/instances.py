@@ -26,13 +26,6 @@ from .paulis import PauliString, enumerate_all, from_index
 from .paulis import letters_from_codes, sample_codes
 
 
-def hamiltonian_only(n: int, terms: list[tuple[str, float]]) -> Lindbladian:
-    ham = HamiltonianSpec.from_terms(
-        n, [(PauliString.from_text(p), c) for p, c in terms]
-    )
-    return Lindbladian(n, ham, JumpOperatorSet(n, ()))
-
-
 def dephasing(rate: float, n: int = 1, site: int = 0) -> Lindbladian:
     """Single-site dephasing with twirled rate alpha_Z = rate (jump sqrt(rate) Z)."""
     letters = ["I"] * n
@@ -155,11 +148,3 @@ def random_diagonal(
         from_index(n, eligible[int(i)]): float(rng.uniform(0.05, 1.0)) for i in chosen
     }
     return DiagonalDissipator(n, alphas)
-
-
-def random_hermiticity_preserving_ptm(
-    n: int, rng: np.random.Generator, scale: float = 1.0
-) -> np.ndarray:
-    """Random real transfer matrix (realness == Hermiticity preservation)."""
-    dim = 4**n
-    return rng.uniform(-scale, scale, size=(dim, dim))

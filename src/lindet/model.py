@@ -117,10 +117,6 @@ class Lindbladian:
         if self.hamiltonian.n != self.n or self.dissipator.n != self.n:
             raise DimensionError("hamiltonian and dissipator must agree on n")
 
-    @property
-    def is_purely_hamiltonian(self) -> bool:
-        return self.dissipator.is_empty
-
 
 @dataclass(frozen=True)
 class DiagonalDissipator:

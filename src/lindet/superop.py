@@ -32,8 +32,6 @@ from .paulis import check_capacity, enumerate_all, matrix
 
 # Structural tolerances: absolute, scaled by the matrix max-entry magnitude.
 STRUCT_TOL = 1e-10
-# Cross-method agreement (e.g. the two exponentials) is relative.
-REL_TOL = 1e-9
 # Eigenvector condition-number ceiling for the eigendecomposition exponential.
 EIG_COND_LIMIT = 1e8
 
@@ -87,14 +85,6 @@ class ChoiMatrix:
 
     n: int
     mat: np.ndarray
-
-
-def identity_superop(n: int) -> SuperOperator:
-    return SuperOperator(n, np.eye(4**n, dtype=complex))
-
-
-def zero_superop(n: int) -> SuperOperator:
-    return SuperOperator(n, np.zeros((4**n, 4**n), dtype=complex))
 
 
 def _vec_to_ptm(n: int, svec: np.ndarray) -> np.ndarray:
@@ -262,15 +252,3 @@ def purity(s: SuperOperator) -> float:
     """
     c = choi(s).mat
     return float(np.trace(c @ c).real)
-
-
-def is_hermiticity_preserving(s: SuperOperator, tol: float = STRUCT_TOL) -> bool:
-    """True when the transfer matrix is real within the scaled tolerance."""
-    return float(np.abs(s.mat.imag).max()) <= tol * _entry_scale(s.mat)
-
-
-def is_trace_preserving(s: SuperOperator, tol: float = REL_TOL) -> bool:
-    """True when the first transfer-matrix row is (1, 0, ..., 0) within tolerance."""
-    row = s.mat[0].copy()
-    row[0] -= 1.0
-    return float(np.abs(row).max()) <= tol * _entry_scale(s.mat)

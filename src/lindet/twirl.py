@@ -52,11 +52,19 @@ def twirled_step(generator: SuperOperator, tau: float) -> SuperOperator:
 
 
 def trotterized_twirled(generator: SuperOperator, tau: float, m: int) -> SuperOperator:
-    """m-fold composition of the twirled slice (matrix power of its PTM)."""
+    """m-fold composition of the twirled slice.
+
+    The twirled slice is diagonal in the transfer basis, so its m-th power is
+    the elementwise power of its diagonal; any slice with a nonzero
+    off-diagonal entry is composed by a dense matrix power instead.
+    """
     if m < 1:
         raise DomainError(f"slice count must be at least 1, got m={m}")
-    step = twirled_step(generator, tau)
-    return SuperOperator(generator.n, np.linalg.matrix_power(step.mat, m))
+    step = twirled_step(generator, tau).mat
+    diag = np.diag(step)
+    if np.count_nonzero(step) == np.count_nonzero(diag):
+        return SuperOperator(generator.n, np.diag(diag**m))
+    return SuperOperator(generator.n, np.linalg.matrix_power(step, m))
 
 
 def trotter_error_bound(generator: SuperOperator, tau: float, m: int) -> float:

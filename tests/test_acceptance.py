@@ -42,6 +42,8 @@ from lindet.twirl import (
     twirl_exact,
 )
 
+from helpers import hamiltonian_only, random_hermiticity_preserving_ptm
+
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> bool:
     line = f"criterion {num:02d} {name}: {'PASS' if ok else 'FAIL'}"
@@ -88,7 +90,7 @@ def test_criterion_02_hamiltonian_completeness():
         rng = np.random.default_rng(np.random.SeedSequence((2024, index)))
         n = int(rng.integers(1, 4))
         ham = instances.random_hamiltonian(n, rng, n_terms=3)
-        lind = instances.hamiltonian_only(
+        lind = hamiltonian_only(
             n, [(str(p), c) for p, c in ham.terms]
         )
         params = DetectionParams(
@@ -178,7 +180,7 @@ def test_criterion_05_twirl_oracle_equivalence():
     worst = 0.0
     for index in range(20):
         n = 1 + index % 2
-        s = SuperOperator(n, instances.random_hermiticity_preserving_ptm(n, rng))
+        s = SuperOperator(n, random_hermiticity_preserving_ptm(n, rng))
         dev = float(np.abs(twirl_average(s).mat - twirl_exact(s).mat).max())
         worst = max(worst, dev)
     ok = worst <= 1e-10

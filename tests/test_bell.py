@@ -19,10 +19,10 @@ from lindet.superop import (
     from_diagonal,
     from_lindbladian,
     identity_fraction,
-    identity_superop,
-    is_trace_preserving,
 )
 from lindet.twirl import trotterized_twirled
+
+from helpers import hamiltonian_only, identity_superop, is_trace_preserving
 
 
 def P(text):
@@ -95,7 +95,7 @@ class TestSampledFrameChannel:
 
 class TestRunRound:
     def test_zero_generator_certain_identity(self, rng):
-        gen = from_lindbladian(instances.hamiltonian_only(1, []))
+        gen = from_lindbladian(hamiltonian_only(1, []))
         for mode in ("sampled_pauli", "averaged"):
             outcome = run_round(gen, 2.0, 4, mode, np.random.default_rng(1))
             assert outcome.p_identity == 1.0
@@ -103,7 +103,7 @@ class TestRunRound:
 
     def test_averaged_hamiltonian_closed_form(self):
         omega, m = 0.8, 8
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", omega)]))
         rng = np.random.default_rng(4)
         outcome = run_round(gen, 2.0, m, "averaged", rng)
         t = outcome.t_used

@@ -3,6 +3,8 @@ import pytest
 
 from lindet import checks, instances
 
+from helpers import hamiltonian_only
+
 
 class TestIndividualChecks:
     def test_jordan_trace(self, rng):
@@ -18,7 +20,7 @@ class TestIndividualChecks:
 
     def test_decay_primitive_skips_hamiltonian(self, rng):
         result = checks.check_decay_primitive(
-            instances.hamiltonian_only(1, [("Z", 1.0)]), 0.5, 100, rng
+            hamiltonian_only(1, [("Z", 1.0)]), 0.5, 100, rng
         )
         assert result.skipped
         assert result.passed

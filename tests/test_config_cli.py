@@ -19,6 +19,8 @@ from lindet.model import (
 )
 from lindet.paulis import PauliString
 
+from helpers import is_purely_hamiltonian
+
 CONFIGS = "configs"
 
 
@@ -33,7 +35,7 @@ class TestConfigParsing:
         lind = parse_config(
             write(tmp_path, "n: 1\nhamiltonian:\n  - {pauli: Z, coeff: 1.0}\n")
         )
-        assert lind.is_purely_hamiltonian
+        assert is_purely_hamiltonian(lind)
         assert lind.hamiltonian.terms == ((PauliString.from_text("Z"), 1.0),)
 
     def test_dephasing_norm(self, tmp_path):

@@ -16,6 +16,8 @@ from lindet.detector import (
 from lindet.errors import DomainError
 from lindet.model import diamond_upper_bound
 
+from helpers import hamiltonian_only
+
 
 def dephasing_setup(mode="averaged", seed=0, **kwargs):
     lind = instances.dephasing(0.3536)
@@ -81,7 +83,7 @@ class TestTheoreticalBudgets:
 
 class TestRunDetection:
     def test_zero_generator_accepts(self):
-        lind = instances.hamiltonian_only(2, [])
+        lind = hamiltonian_only(2, [])
         params = DetectionParams(0.5, 0.3, 1, 1, 1.0, mode="averaged", seed=5)
         report = run_detection(lind, params)
         assert report.verdict == "ACCEPT"
@@ -92,7 +94,7 @@ class TestRunDetection:
         # finite slicing leaves a residual O((||H|| t)^2 / m) on the identity
         # probability for coherent dynamics; with a large enough slice count
         # the acceptance side becomes numerically exact
-        lind = instances.hamiltonian_only(1, [("Z", 0.8)])
+        lind = hamiltonian_only(1, [("Z", 0.8)])
         params = DetectionParams(
             0.5,
             0.3,
@@ -187,7 +189,7 @@ class TestRunDetection:
         # round i draws t, then its m frames, from the (seed, i) stream; the
         # JSON report lists the frames as n-letter strings in slice order
         m, seed = 40, 11
-        lind = instances.hamiltonian_only(2, [("XZ", 0.7), ("YI", 0.2)])
+        lind = hamiltonian_only(2, [("XZ", 0.7), ("YI", 0.2)])
         params = DetectionParams(
             0.5, 0.1, 1, 1, 2.0, mode="sampled_pauli", seed=seed,
             overrides=Overrides(m=m, rounds=3),

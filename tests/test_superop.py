@@ -23,14 +23,18 @@ from lindet.superop import (
     from_diagonal,
     from_lindbladian,
     identity_fraction,
-    identity_superop,
-    is_hermiticity_preserving,
-    is_trace_preserving,
     lambda_fraction,
     pauli_vec_basis,
     purity,
     scale,
     to_vec_basis,
+)
+
+from helpers import (
+    hamiltonian_only,
+    identity_superop,
+    is_hermiticity_preserving,
+    is_trace_preserving,
     zero_superop,
 )
 
@@ -66,7 +70,7 @@ class TestConstruction:
 
     def test_hamiltonian_rotation_block(self):
         omega = 0.9
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", omega)]))
         vals = np.sort_complex(eigenvalues(gen))
         assert np.allclose(vals.real, 0, atol=1e-12)
         assert np.allclose(
@@ -135,7 +139,7 @@ class TestIdentityFraction:
         # a rotation superoperator has trace |Tr V|^2, so for H = w Z the
         # identity-outcome probability is cos^2(w t), not constant
         omega, t = 0.8, 1.1
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", omega)]))
         assert identity_fraction(exp(gen, t)) == pytest.approx(
             np.cos(omega * t) ** 2, abs=1e-12
         )
@@ -171,7 +175,7 @@ class TestNorms:
     def test_invariant_under_unitary_conjugation(self, rng):
         s = random_channel(1, rng)
         rot = exp(
-            from_lindbladian(instances.hamiltonian_only(1, [("X", 0.6)])), 1.0
+            from_lindbladian(hamiltonian_only(1, [("X", 0.6)])), 1.0
         )
         rot_inv = SuperOperator(1, rot.mat.T)  # orthogonal PTM: transpose inverts
         conjugated = compose(rot_inv, compose(s, rot))
@@ -268,7 +272,7 @@ class TestSpectra:
                     assert nearest < 1e-8 * scale_ref
 
     def test_lambda_fraction(self):
-        ham = from_lindbladian(instances.hamiltonian_only(1, [("Z", 1.0)]))
+        ham = from_lindbladian(hamiltonian_only(1, [("Z", 1.0)]))
         assert lambda_fraction(ham, 0.5) == 0.0
         assert lambda_fraction(dephasing_gen(), 1.0) == 0.5
         assert lambda_fraction(dephasing_gen(), 3.0) == 0.0

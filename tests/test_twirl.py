@@ -13,9 +13,7 @@ from lindet.superop import (
     from_diagonal,
     from_lindbladian,
     identity_fraction,
-    identity_superop,
     choi,
-    is_trace_preserving,
 )
 from lindet.twirl import (
     trotter_error_bound,
@@ -23,6 +21,13 @@ from lindet.twirl import (
     twirl_average,
     twirl_exact,
     twirled_step,
+)
+
+from helpers import (
+    hamiltonian_only,
+    identity_superop,
+    is_trace_preserving,
+    random_hermiticity_preserving_ptm,
 )
 
 
@@ -36,16 +41,16 @@ class TestTwirlProjection:
         assert np.array_equal(twirl_exact(s).mat, s.mat)
 
     def test_kills_hamiltonian_generator(self):
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", 1.0)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", 1.0)]))
         assert np.abs(twirl_exact(gen).mat).max() < 1e-12
 
     def test_idempotent(self, rng):
-        s = SuperOperator(2, instances.random_hermiticity_preserving_ptm(2, rng))
+        s = SuperOperator(2, random_hermiticity_preserving_ptm(2, rng))
         once = twirl_exact(s)
         assert np.array_equal(twirl_exact(once).mat, once.mat)
 
     def test_preserves_identity_fraction_exactly(self, rng):
-        s = SuperOperator(1, instances.random_hermiticity_preserving_ptm(1, rng))
+        s = SuperOperator(1, random_hermiticity_preserving_ptm(1, rng))
         assert identity_fraction(twirl_exact(s)) == identity_fraction(s)
 
 
@@ -57,7 +62,7 @@ class TestTwirlAverage:
     def test_matches_projection(self, rng):
         for n in (1, 2):
             for _ in range(5):
-                s = SuperOperator(n, instances.random_hermiticity_preserving_ptm(n, rng))
+                s = SuperOperator(n, random_hermiticity_preserving_ptm(n, rng))
                 assert (
                     np.abs(twirl_average(s).mat - twirl_exact(s).mat).max() < 1e-10
                 )
@@ -84,7 +89,7 @@ class TestTwirledStep:
         # the twirl of a Z-rotation keeps diagonal (1, cos, cos, 1), so the
         # identity probability is (2 + 2cos(2 w tau)) / 4
         omega, tau = 0.8, 0.37
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", omega)]))
         step = twirled_step(gen, tau)
         assert identity_fraction(step) == pytest.approx(
             (2 + 2 * np.cos(2 * omega * tau)) / 4, abs=1e-12
@@ -116,7 +121,7 @@ class TestTrotterizedTwirled:
 
     def test_hamiltonian_closed_form(self):
         omega, t, m = 0.8, 3.0, 16
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", omega)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", omega)]))
         composed = trotterized_twirled(gen, t / m, m)
         assert identity_fraction(composed) == pytest.approx(
             (2 + 2 * np.cos(2 * omega * t / m) ** m) / 4, abs=1e-12
@@ -144,6 +149,28 @@ class TestTrotterizedTwirled:
         with pytest.raises(DomainError):
             trotterized_twirled(from_lindbladian(instances.dephasing(1.0)), 0.1, 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_matrix_power_of_twirled_slice(self, n, rng):
+        gen = from_lindbladian(instances.random_lindbladian(n, rng))
+        t = 0.7
+        for m in (1, 2, 16, 116948, 10**8):
+            got = trotterized_twirled(gen, t / m, m).mat
+            want = np.linalg.matrix_power(twirled_step(gen, t / m).mat, m)
+            # entrywise rounding allowance 8u(m + d^2), u = 2^-53
+            tol = 8 * 2**-53 * (m + gen.dim)
+            assert np.abs(got - want).max() <= tol, (n, m)
+
+    def test_composes_a_non_diagonal_slice_in_full(self, monkeypatch, rng):
+        gen = from_lindbladian(instances.random_lindbladian(2, rng))
+        monkeypatch.setattr("lindet.twirl.twirled_step", exp)
+        t = 0.7
+        for m in (1, 2, 16):
+            full = exp(gen, t / m).mat
+            assert np.abs(full - np.diag(np.diag(full))).max() > 0
+            assert np.array_equal(
+                trotterized_twirled(gen, t / m, m).mat, np.linalg.matrix_power(full, m)
+            )
+
 
 class TestTrotterErrorBound:
     def test_zero_time(self, rng):
@@ -153,7 +180,7 @@ class TestTrotterErrorBound:
     def test_hamiltonian_defect_positive(self):
         # the twirl of the squared rotation generator is a nonzero diagonal
         # while the squared twirled generator vanishes, so the bound is > 0
-        gen = from_lindbladian(instances.hamiltonian_only(1, [("Z", 1.0)]))
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", 1.0)]))
         t_of_sq = twirl_exact(gen @ gen)
         assert np.abs(twirl_exact(gen).mat).max() < 1e-12
         assert np.abs(t_of_sq.mat).max() > 1.0
