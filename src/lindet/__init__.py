@@ -24,13 +24,12 @@ from .model import (
     JumpOperatorSet,
     Lindbladian,
 )
-from .superop import ChoiMatrix, SuperOperator
+from .superop import SuperOperator
 from .bell import RoundOutcome
 from .detector import DetectionParams, DetectionReport, Overrides
 
 __all__ = [
     "CapacityError",
-    "ChoiMatrix",
     "ConfigError",
     "ConsistencyError",
     "DetectionParams",

@@ -12,8 +12,7 @@ Exit codes: 0 success (detect: ACCEPT), 2 detect: REJECT, 1 any error.
 Every command honors a global --seed; when omitted for a randomized command,
 a seed is drawn from OS entropy and printed so the run can be replayed.
 CSV cells are written with 17 significant digits, so parsing and re-emitting
-a file reproduces it byte for byte. The LINDET_THREADS environment variable
-caps the worker count used for detection rounds (default 1).
+a file reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ import json
 import os
 import secrets
 import sys
+from typing import get_args
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .detector import (
 )
 from .errors import LindetError
 from .model import Lindbladian, twirled_generator
-from .bell import bell_distribution
+from .bell import RoundMode, bell_distribution
 from .paulis import enumerate_all
 from .superop import (
     eigenvalues,
@@ -245,9 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--l-bound", type=float, default=None, help="diamond-norm promise on L"
     )
-    p.add_argument(
-        "--mode", choices=("sampled_pauli", "averaged"), default="sampled_pauli"
-    )
+    p.add_argument("--mode", choices=get_args(RoundMode), default="sampled_pauli")
     p.add_argument("--out", default=None, help="write the JSON report here")
     p.add_argument(
         "--full-report",
@@ -301,10 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except LindetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
+    except (LindetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -20,24 +20,17 @@ t_max factor are accepted and always recorded in the report.
 
 from __future__ import annotations
 
-import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Literal
 
 import numpy as np
 
-from .bell import RoundOutcome, run_round
+from .bell import RoundMode, RoundOutcome, run_round
 from .errors import DomainError
 from .model import Lindbladian, derive_locality_degree, diamond_upper_bound
 from .paulis import check_capacity, split_letters
 from .superop import from_lindbladian
-
-logger = logging.getLogger(__name__)
-
-THREADS_ENV_VAR = "LINDET_THREADS"
 
 Verdict = Literal["ACCEPT", "REJECT"]
 
@@ -58,7 +51,7 @@ class DetectionParams:
     k: int
     degree: int
     l_bound: float
-    mode: Literal["sampled_pauli", "averaged"] = "sampled_pauli"
+    mode: RoundMode = "sampled_pauli"
     seed: int = 0
     overrides: Overrides = field(default_factory=Overrides)
 
@@ -209,15 +202,6 @@ def derive_parameters(params: DetectionParams) -> DerivedParams:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring invalid %s=%r", THREADS_ENV_VAR, raw)
-        return 1
-
-
 def run_detection(
     lind: Lindbladian,
     params: DetectionParams,
@@ -225,10 +209,8 @@ def run_detection(
 ) -> DetectionReport:
     """Run up to R rounds with early stop at the first rejection.
 
-    Rounds draw their randomness from streams derived deterministically from
-    (seed, round index), so reports are identical regardless of the thread
-    count; with more than one worker, rounds already started may complete,
-    but only outcomes consumed in order up to the stopping point are counted.
+    Round i draws from the stream (seed, i), so a report replays exactly from
+    its params.
     """
     check_capacity(lind.n, max_qubits)
     promise = resolve_promise(lind, params.k, params.degree, params.l_bound)
@@ -240,28 +222,15 @@ def run_detection(
         )
 
     generator = from_lindbladian(lind, max_qubits)
-
-    def one_round(index: int) -> RoundOutcome:
-        rng = np.random.default_rng(np.random.SeedSequence((params.seed, index)))
-        return run_round(generator, derived.t_max, derived.m, params.mode, rng)
-
     consumed: list[RoundOutcome] = []
     rejecting_round: int | None = None
-    workers = _thread_count()
-    # Rounds run in chunks of `workers` and may run concurrently within a
-    # chunk, but outcomes are consumed strictly in index order. At one worker
-    # the builtin map runs each round in this thread when it is consumed.
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        run_chunk = map if workers == 1 else pool.map
-        start = 0
-        while start < derived.rounds and rejecting_round is None:
-            chunk = range(start, min(start + workers, derived.rounds))
-            for i, outcome in zip(chunk, run_chunk(one_round, chunk)):
-                consumed.append(outcome)
-                if outcome.rejected:
-                    rejecting_round = i
-                    break
-            start = chunk.stop
+    for index in range(derived.rounds):
+        rng = np.random.default_rng(np.random.SeedSequence((params.seed, index)))
+        outcome = run_round(generator, derived.t_max, derived.m, params.mode, rng)
+        consumed.append(outcome)
+        if outcome.rejected:
+            rejecting_round = index
+            break
 
     return DetectionReport(
         verdict="REJECT" if rejecting_round is not None else "ACCEPT",

@@ -78,15 +78,6 @@ class SuperOperator:
         return compose(self, other)
 
 
-@dataclass(frozen=True)
-class ChoiMatrix:
-    """Normalized Choi state (E kron I)(|Phi><Phi|): Hermitian for
-    Hermiticity-preserving maps, unit trace for trace-preserving ones."""
-
-    n: int
-    mat: np.ndarray
-
-
 def _vec_to_ptm(n: int, svec: np.ndarray) -> np.ndarray:
     w = pauli_vec_basis(n)
     return w.conj().T @ svec @ w
@@ -221,14 +212,16 @@ def lambda_fraction(s: SuperOperator, eps: float) -> float:
     return float(np.count_nonzero(-vals.real >= eps)) / s.dim
 
 
-def choi(s: SuperOperator) -> ChoiMatrix:
-    """Reshuffle of the transfer matrix into the normalized Choi arrangement."""
+def choi(s: SuperOperator) -> np.ndarray:
+    """Normalized Choi state (E kron I)(|Phi><Phi|), reshuffled from the
+    transfer matrix: Hermitian for Hermiticity-preserving maps, unit trace for
+    trace-preserving ones."""
     d = 2**s.n
     svec = to_vec_basis(s)
     # svec[l*d+k, j*d+i] = <k| E(|i><j|) |l>  ->  J[k*d+i, l*d+j] (unnormalized)
     s4 = svec.reshape(d, d, d, d)
     j4 = s4.transpose(1, 3, 0, 2)
-    return ChoiMatrix(s.n, j4.reshape(d * d, d * d) / d)
+    return j4.reshape(d * d, d * d) / d
 
 
 def diamond_bounds(s: SuperOperator) -> tuple[float, float]:
@@ -240,8 +233,7 @@ def diamond_bounds(s: SuperOperator) -> tuple[float, float]:
     use .upper, on the small side .lower, preserving inequality direction.
     """
     d = 2**s.n
-    c = choi(s).mat
-    lower = float(np.linalg.norm(c, ord="nuc"))
+    lower = float(np.linalg.norm(choi(s), ord="nuc"))
     return lower, d * lower
 
 
@@ -250,5 +242,5 @@ def purity(s: SuperOperator) -> float:
 
     Equals the mean squared singular value of the transfer matrix.
     """
-    c = choi(s).mat
+    c = choi(s)
     return float(np.trace(c @ c).real)

@@ -90,7 +90,7 @@ class TestSampledFrameChannel:
         idx = indices_from_codes(rng.integers(0, 4, size=(5, 2)))
         channel = sampled_frame_channel(gen, 0.1, idx)
         assert is_trace_preserving(channel)
-        assert np.linalg.eigvalsh(choi(channel).mat).min() >= -1e-10
+        assert np.linalg.eigvalsh(choi(channel)).min() >= -1e-10
 
 
 class TestRunRound:

@@ -1,12 +1,12 @@
 import json
 import math
-import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lindet import instances
+from lindet import detector, instances
+from lindet.bell import run_round
 from lindet.detector import (
     DetectionParams,
     Overrides,
@@ -124,19 +124,21 @@ class TestRunDetection:
         assert report.total_evolution_time <= report.rounds_planned * report.t_max
         assert all(0 <= r.t_used <= report.t_max for r in report.rounds)
 
-    def test_deterministic_across_thread_counts(self):
-        lind, params = dephasing_setup(seed=9)
-        baseline = run_detection(lind, params).to_dict()
-        old = os.environ.get("LINDET_THREADS")
-        try:
-            os.environ["LINDET_THREADS"] = "3"
-            threaded = run_detection(lind, params).to_dict()
-        finally:
-            if old is None:
-                os.environ.pop("LINDET_THREADS", None)
-            else:
-                os.environ["LINDET_THREADS"] = old
-        assert baseline == threaded
+    def test_no_round_runs_past_the_first_rejection(self, monkeypatch):
+        # rounds run one after another, whatever the environment asks for
+        monkeypatch.setenv("LINDET_THREADS", "2")
+        calls = []
+
+        def counting_run_round(*args, **kwargs):
+            calls.append(1)
+            return run_round(*args, **kwargs)
+
+        monkeypatch.setattr(detector, "run_round", counting_run_round)
+        reported = 0
+        for seed in range(6):
+            lind, params = dephasing_setup(seed=seed)
+            reported += len(run_detection(lind, params).rounds)
+        assert len(calls) == reported
 
     def test_promise_validation(self):
         lind = instances.dephasing(0.3536)

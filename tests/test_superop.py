@@ -156,7 +156,7 @@ class TestIdentityFraction:
         d = 4
         phi = np.zeros(d * d, dtype=complex)
         phi[:: d + 1] = 1 / np.sqrt(d)
-        overlap = float(np.vdot(phi, choi(s).mat @ phi).real)
+        overlap = float(np.vdot(phi, choi(s) @ phi).real)
         assert identity_fraction(s) == pytest.approx(overlap, abs=1e-10)
 
     def test_imaginary_residue_rejected(self):
@@ -280,7 +280,7 @@ class TestSpectra:
 
 class TestChoiAndDiamond:
     def test_identity_choi_is_bell_projector(self):
-        c = choi(identity_superop(1)).mat
+        c = choi(identity_superop(1))
         assert np.trace(c).real == pytest.approx(1.0)
         eig = np.linalg.eigvalsh(c)
         assert eig.min() > -1e-12
@@ -288,12 +288,12 @@ class TestChoiAndDiamond:
 
     def test_fully_depolarizing_choi_maximally_mixed(self):
         fully = SuperOperator(1, np.diag([1.0, 0, 0, 0]))
-        c = choi(fully).mat
+        c = choi(fully)
         assert np.allclose(c, np.eye(4) / 4)
 
     def test_cptp_choi_psd_unit_trace(self, rng):
         for _ in range(5):
-            c = choi(random_channel(2, rng)).mat
+            c = choi(random_channel(2, rng))
             assert np.abs(c - c.conj().T).max() < 1e-10
             assert np.trace(c).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(c).min() >= -1e-10

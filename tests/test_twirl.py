@@ -104,7 +104,7 @@ class TestTwirledStep:
         gen = from_lindbladian(instances.random_lindbladian(2, rng))
         step = twirled_step(gen, 0.3)
         assert is_trace_preserving(step)
-        assert np.linalg.eigvalsh(choi(step).mat).min() >= -1e-10
+        assert np.linalg.eigvalsh(choi(step)).min() >= -1e-10
 
     def test_negative_time(self, rng):
         with pytest.raises(DomainError):
@@ -143,7 +143,7 @@ class TestTrotterizedTwirled:
         for t, m in ((0.1, 4), (0.5, 16)):
             composed = trotterized_twirled(gen, t / m, m)
             assert is_trace_preserving(composed)
-            assert np.linalg.eigvalsh(choi(composed).mat).min() >= -1e-10
+            assert np.linalg.eigvalsh(choi(composed)).min() >= -1e-10
 
     def test_bad_slice_count(self, rng):
         with pytest.raises(DomainError):
