@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 from math import sqrt
+from typing import get_args
 
+from lindet.bell import RoundMode
 from lindet.cli import write_csv
 from lindet.detector import DetectionParams, resolve_promise, run_detection
 from lindet.instances import dephasing
@@ -26,7 +28,7 @@ def main() -> None:
     parser.add_argument("--epsilon", type=float, default=0.5)
     parser.add_argument("--delta", type=float, default=0.1)
     parser.add_argument("--seeds", type=int, default=20)
-    parser.add_argument("--mode", choices=("sampled_pauli", "averaged"), default="averaged")
+    parser.add_argument("--mode", choices=get_args(RoundMode), default="averaged")
     parser.add_argument(
         "--rates",
         type=float,

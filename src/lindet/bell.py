@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def run_round(
         raise DomainError(f"t_max must be positive, got {t_max}")
     if m < 1:
         raise DomainError(f"slice count must be at least 1, got m={m}")
-    if mode not in ("sampled_pauli", "averaged"):
+    if mode not in get_args(RoundMode):
         raise DomainError(f"unknown round mode {mode!r}")
     t = float(rng.uniform(0.0, t_max))
     tau = t / m

@@ -36,7 +36,8 @@ from .superop import (
     identity_fraction,
     lambda_fraction,
 )
-from .twirl import trotter_error_bound, trotterized_twirled, twirl_average
+from .oracles import twirl_average
+from .twirl import trotter_error_bound, trotterized_twirled
 
 JORDAN_TOL = 1e-8  # scaled by d^2
 EQUALITY_TOL = 1e-10

@@ -236,20 +236,3 @@ def diamond_upper_bound(lind: Lindbladian) -> float:
     for j in lind.dissipator.jumps:
         total += 2.0 * float(np.linalg.norm(j.dense(), ord=2)) ** 2
     return total
-
-
-def dissipator_dense_action(js: JumpOperatorSet, x: np.ndarray) -> np.ndarray:
-    """D(X) = sum_a (L_a X L_a^dag - 1/2 {L_a^dag L_a, X}) via dense matrices."""
-    out = np.zeros_like(x, dtype=complex)
-    for j in js.jumps:
-        la = j.dense()
-        lad = la.conj().T
-        lala = lad @ la
-        out += la @ x @ lad - 0.5 * (lala @ x + x @ lala)
-    return out
-
-
-def lindblad_dense_action(lind: Lindbladian, x: np.ndarray) -> np.ndarray:
-    """L(X) = -i[H, X] + D(X) via dense matrices (oracle for the superoperator)."""
-    h = lind.hamiltonian.dense()
-    return -1j * (h @ x - x @ h) + dissipator_dense_action(lind.dissipator, x)

@@ -9,7 +9,7 @@ length ``n`` (bit i describes qubit i), with the site letters
 
 The single-site matrix convention is ``P(x, z) = i^(x*z) X^x Z^z``, which
 makes every Pauli string Hermitian and involutive. Global phases are never
-stored on a string; they only appear in the return value of :func:`multiply`.
+stored on a string.
 
 Text representation: strings over {I, X, Y, Z}, leftmost character = qubit 0.
 The canonical enumeration order is lexicographic in that text form with
@@ -45,8 +45,6 @@ _SINGLE_QUBIT_MATRICES = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)  # i^g for g = 0..3
 
 
 def check_capacity(n: int, max_qubits: int | None = None) -> None:
@@ -139,36 +137,8 @@ def chi(p: PauliString, q: PauliString) -> int:
     return -1 if parity else 1
 
 
-def multiply(p: PauliString, q: PauliString) -> tuple[complex, PauliString]:
-    """Product of two Pauli strings as (phase, string), with phase in {1, i, -1, -i}.
-
-    Satisfies phase * matrix(result) == matrix(p) @ matrix(q) exactly.
-    """
-    _require_same_n(p, q)
-    x3 = p.x_bits ^ q.x_bits
-    z3 = p.z_bits ^ q.z_bits
-    # exponent of i from the per-site convention P(x,z) = i^(x z) X^x Z^z
-    g = (
-        (p.x_bits & p.z_bits).bit_count()
-        + (q.x_bits & q.z_bits).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (p.z_bits & q.x_bits).bit_count()
-    ) % 4
-    return _PHASES[g], PauliString(p.n, x3, z3)
-
-
-def pauli_index(p: PauliString) -> int:
-    """Position of p in the canonical enumeration (qubit 0 most significant)."""
-    idx = 0
-    for i in range(p.n):
-        xb = (p.x_bits >> i) & 1
-        zb = (p.z_bits >> i) & 1
-        idx = idx * 4 + _BITS_TO_CODE[(xb, zb)]
-    return idx
-
-
 def from_index(n: int, idx: int) -> PauliString:
-    """Inverse of :func:`pauli_index`."""
+    """The string at position ``idx`` of the canonical enumeration."""
     if not 0 <= idx < 4**n:
         raise ValueError(f"index {idx} out of range for n={n}")
     x = z = 0

@@ -3,8 +3,7 @@
 Superoperators are stored as d^2 x d^2 complex matrices over the orthonormal
 basis of normalized Pauli strings {P / sqrt(d)} in canonical order (the Pauli
 transfer matrix, PTM). In this basis a Hermiticity-preserving map has a real
-matrix, Pauli twirling is the diagonal projection, and Pauli p-norms are
-plain entry norms.
+matrix and Pauli twirling is the diagonal projection.
 
 Internally, construction from a Lindbladian goes through the column-stacking
 vectorization vec(A rho B) = (B^T kron A) vec(rho); the unitary change of
@@ -21,7 +20,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CapacityError,
     ConsistencyError,
     DimensionError,
     DomainError,
@@ -32,8 +30,6 @@ from .paulis import check_capacity, enumerate_all, matrix
 
 # Structural tolerances: absolute, scaled by the matrix max-entry magnitude.
 STRUCT_TOL = 1e-10
-# Eigenvector condition-number ceiling for the eigendecomposition exponential.
-EIG_COND_LIMIT = 1e8
 
 
 @lru_cache(maxsize=8)
@@ -159,41 +155,15 @@ def frobenius_normalized(s: SuperOperator) -> float:
     return float(np.linalg.norm(s.mat)) / 2**s.n
 
 
-def exp(s: SuperOperator, t: float, method: str = "pade") -> SuperOperator:
-    """Channel e^(t S).
-
-    "pade" is scaling-and-squaring with a rational approximant (safe for the
-    non-normal matrices Lindbladians produce); "eig" exponentiates through an
-    eigendecomposition and refuses ill-conditioned eigenvector matrices. Both
-    are kept so they can cross-check each other.
-    """
+def exp(s: SuperOperator, t: float) -> SuperOperator:
+    """Channel e^(t S), by scaling and squaring with a rational approximant
+    (safe for the non-normal matrices Lindbladians produce)."""
     if t < 0:
         raise DomainError(
             f"evolution time must be non-negative, got t={t} "
             "(the evolution is not invertible in general)"
         )
-    if method == "pade":
-        return SuperOperator(s.n, scipy.linalg.expm(t * s.mat))
-    if method == "eig":
-        vals, vecs = np.linalg.eig(s.mat)
-        cond = np.linalg.cond(vecs)
-        if not np.isfinite(cond) or cond >= EIG_COND_LIMIT:
-            raise NumericError(
-                f"eigenvector matrix condition number {cond:.3e} exceeds "
-                f"{EIG_COND_LIMIT:.0e}; use the pade method"
-            )
-        # Guard against inaccurate eigenpairs from the backend (seen even at
-        # small condition numbers); the decomposition must reproduce the input.
-        residual = float(np.abs(s.mat @ vecs - vecs * vals).max())
-        residual_tol = 250 * np.finfo(float).eps * s.dim * _entry_scale(s.mat)
-        if residual > residual_tol:
-            raise NumericError(
-                f"eigendecomposition residual {residual:.3e} exceeds "
-                f"{residual_tol:.3e}; use the pade method"
-            )
-        out = (vecs * np.exp(t * vals)) @ np.linalg.inv(vecs)
-        return SuperOperator(s.n, out)
-    raise ValueError(f"unknown exponential method {method!r}")
+    return SuperOperator(s.n, scipy.linalg.expm(t * s.mat))
 
 
 def eigenvalues(s: SuperOperator) -> np.ndarray:

@@ -1,43 +1,21 @@
 """Pauli twirling of superoperators and Trotterized twirled evolution.
 
 In the Pauli transfer basis the twirl is exactly the diagonal projection, so
-the cheap implementation zeroes off-diagonal entries; the brute-force average
-over all 4^n Pauli conjugations is kept as an oracle for small n.
+it zeroes off-diagonal entries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError, DomainError
-from .paulis import chi_table
+from .errors import DomainError
 from .superop import SuperOperator, compose, diamond_bounds, exp
 from .superop import from_lindbladian  # noqa: F401  (bench/tracing.py wraps it here)
-
-TWIRL_AVERAGE_MAX_QUBITS = 3
 
 
 def twirl_exact(s: SuperOperator) -> SuperOperator:
     """Diagonal projection of the transfer matrix; idempotent."""
     return SuperOperator(s.n, np.diag(np.diag(s.mat)))
-
-
-def twirl_average(s: SuperOperator) -> SuperOperator:
-    """Uniform average over all 4^n Pauli conjugations (oracle for twirl_exact).
-
-    Conjugating by the Pauli with index p multiplies transfer-matrix entry
-    (i, j) by chi(p, i) chi(p, j), so the average is an entrywise mask.
-    """
-    if s.n > TWIRL_AVERAGE_MAX_QUBITS:
-        raise CapacityError(
-            f"brute-force twirl averages 4^n conjugations; n={s.n} exceeds "
-            f"{TWIRL_AVERAGE_MAX_QUBITS}"
-        )
-    signs = chi_table(s.n).astype(float)
-    acc = np.zeros_like(s.mat)
-    for row in signs:
-        acc += (row[:, None] * row[None, :]) * s.mat
-    return SuperOperator(s.n, acc / signs.shape[0])
 
 
 def twirled_step(generator: SuperOperator, tau: float) -> SuperOperator:

@@ -28,6 +28,7 @@ from lindet.detector import (
     run_detection,
 )
 from lindet.model import diamond_upper_bound, twirled_generator
+from lindet.oracles import twirl_average
 from lindet.superop import (
     SuperOperator,
     exp,
@@ -38,7 +39,6 @@ from lindet.superop import (
 from lindet.twirl import (
     trotter_error_bound,
     trotterized_twirled,
-    twirl_average,
     twirl_exact,
 )
 

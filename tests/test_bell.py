@@ -11,7 +11,7 @@ from lindet.model import (
     HamiltonianSpec,
     Lindbladian,
 )
-from lindet.paulis import PauliString, indices_from_codes
+from lindet.paulis import PauliString, indices_from_codes, matrix, split_letters
 from lindet.superop import (
     SuperOperator,
     choi,
@@ -19,6 +19,7 @@ from lindet.superop import (
     from_diagonal,
     from_lindbladian,
     identity_fraction,
+    pauli_vec_basis,
 )
 from lindet.twirl import trotterized_twirled
 
@@ -125,6 +126,26 @@ class TestRunRound:
         outcome = run_round(gen, 2.0, m, "sampled_pauli", np.random.default_rng(6))
         assert len(outcome.pauli_frames) == 2 * m
         assert sys.getsizeof(outcome.pauli_frames) <= 2 * m + 100
+
+    def test_reported_frames_are_the_frames_applied(self, rng):
+        # rebuild each slice from the reported letters as C_P e^(tau L) C_P,
+        # with C_P the conjugation by P in the transfer basis
+        m = 7
+        for n in (1, 2):
+            lind = instances.random_lindbladian(n, rng, k_max=n)
+            gen = from_lindbladian(lind)
+            w = pauli_vec_basis(n)
+            for seed in range(5):
+                rng_round = np.random.default_rng(seed)
+                outcome = run_round(gen, 2.0, m, "sampled_pauli", rng_round)
+                step = exp(gen, outcome.t_used / m).mat
+                total = np.eye(4**n)
+                for text in split_letters(outcome.pauli_frames, m):
+                    u = matrix(P(text))
+                    conj = w.conj().T @ np.kron(u.conj(), u) @ w
+                    total = conj @ step @ conj @ total
+                rebuilt = np.trace(total).real / 4**n
+                assert abs(rebuilt - outcome.p_identity) < 1e-12
 
     def test_deterministic_replay(self):
         gen = from_lindbladian(instances.dephasing(1.0))

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindet
 from lindet import detector, instances
 from lindet.bell import run_round
 from lindet.detector import (
@@ -212,3 +217,13 @@ class TestRunDetection:
         for round_dict in full["rounds"]:
             round_dict.pop("pauli_frames")
         assert json.dumps(report.to_dict(frames=False)) == json.dumps(full)
+
+
+def test_detection_path_does_not_load_oracles():
+    # the oracles are for the verify suite and the tests only
+    code = "import sys, lindet.detector; print('lindet.oracles' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(lindet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

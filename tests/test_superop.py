@@ -8,8 +8,8 @@ from lindet.model import (
     HamiltonianSpec,
     JumpOperatorSet,
     Lindbladian,
-    lindblad_dense_action,
 )
+from lindet.oracles import exp_eig, lindblad_dense_action
 from lindet.paulis import PauliString, enumerate_all, matrix
 from lindet.superop import (
     SuperOperator,
@@ -233,7 +233,7 @@ class TestExponential:
             t = float(rng.uniform(0.1, 1.0))
             pade = exp(gen, t)
             try:
-                eig = exp(gen, t, method="eig")
+                eig = exp_eig(gen, t)
             except NumericError:
                 continue
             scale_ref = max(1.0, float(np.abs(pade.mat).max()))

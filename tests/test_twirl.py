@@ -4,6 +4,7 @@ import pytest
 from lindet import instances
 from lindet.errors import CapacityError, DomainError
 from lindet.model import DiagonalDissipator, twirled_generator
+from lindet.oracles import twirl_average
 from lindet.paulis import PauliString
 from lindet.superop import (
     SuperOperator,
@@ -18,7 +19,6 @@ from lindet.superop import (
 from lindet.twirl import (
     trotter_error_bound,
     trotterized_twirled,
-    twirl_average,
     twirl_exact,
     twirled_step,
 )
