@@ -27,6 +27,7 @@ logger = logging.getLogger(__name__)
 RoundMode = Literal["sampled_pauli", "averaged"]
 
 CLAMP_LOG_THRESHOLD = 1e-9
+FRAME_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -81,13 +82,21 @@ def sampled_frame_channel(
 
     Pauli conjugation is diagonal (+-1) in the transfer basis, so each slice
     is a sign sandwich of the slice channel; slices apply in sequence order.
+    Slices are framed in chunks of FRAME_CHUNK_BYTES (two slices at least),
+    so working memory is bounded for any m; a chunk is composed by pairwise
+    batched products, the later slice on the left, after earlier chunks.
     """
     step = exp(generator, tau).mat
-    signs = chi_table(generator.n)
+    signs = chi_table(generator.n).astype(float)
+    chunk = max(2, FRAME_CHUNK_BYTES // step.nbytes)
     total = np.eye(step.shape[0], dtype=step.dtype)
-    for idx in frame_indices:
-        srow = signs[idx].astype(float)
-        total = (srow[:, None] * step * srow[None, :]) @ total
+    for start in range(0, len(frame_indices), chunk):
+        s = signs[frame_indices[start : start + chunk]]
+        block = step * (s[:, :, None] * s[:, None, :])
+        while len(block) > 1:
+            paired = block[1::2] @ block[:-1:2]
+            block = np.concatenate((paired, block[-1:])) if len(block) % 2 else paired
+        total = block[0] @ total
     return SuperOperator(generator.n, total)
 
 

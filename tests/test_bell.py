@@ -1,17 +1,29 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lindet import instances
-from lindet.bell import bell_distribution, run_round, sampled_frame_channel
+from lindet.bell import (
+    FRAME_CHUNK_BYTES,
+    bell_distribution,
+    run_round,
+    sampled_frame_channel,
+)
 from lindet.errors import ConsistencyError, DomainError
 from lindet.model import (
     DiagonalDissipator,
     HamiltonianSpec,
     Lindbladian,
 )
-from lindet.paulis import PauliString, indices_from_codes, matrix, split_letters
+from lindet.paulis import (
+    PauliString,
+    chi_table,
+    indices_from_codes,
+    matrix,
+    split_letters,
+)
 from lindet.superop import (
     SuperOperator,
     choi,
@@ -28,6 +40,16 @@ from helpers import hamiltonian_only, identity_superop, is_trace_preserving
 
 def P(text):
     return PauliString.from_text(text)
+
+
+def ordered_fold(step, n, frame_indices):
+    """Left-fold S_P step S_P one slice at a time, the later slice on the left."""
+    signs = chi_table(n).astype(float)
+    total = np.eye(len(step), dtype=step.dtype)
+    for idx in frame_indices:
+        sign = np.diag(signs[idx])
+        total = sign @ step @ sign @ total
+    return total
 
 
 class TestBellDistribution:
@@ -93,6 +115,33 @@ class TestSampledFrameChannel:
         assert is_trace_preserving(channel)
         assert np.linalg.eigvalsh(choi(channel)).min() >= -1e-10
 
+    @pytest.mark.parametrize("n, chunk", [(1, 1024), (2, 64), (3, 4)])
+    def test_order_and_chunk_boundaries_match_ordered_fold(self, n, chunk, rng):
+        gen = from_lindbladian(instances.random_lindbladian(n, rng, k_max=min(2, n)))
+        tau = 0.05
+        step = exp(gen, tau).mat
+        assert max(2, FRAME_CHUNK_BYTES // step.nbytes) == chunk
+        d2 = 4**n
+        for m in (1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
+            idx = rng.integers(0, d2, size=m)
+            got = sampled_frame_channel(gen, tau, idx).mat
+            want = ordered_fold(step, n, idx)
+            # the bench's sampled p_tolerance, 4 u d^2 (m + 1)
+            assert np.abs(got - want).max() <= 4 * 2**-53 * d2 * (m + 1)
+
+    def test_working_memory_is_bounded(self, rng):
+        # framing all 10^5 slices at once would take 10^5 * 16 * 16 * 16 B = 410 MB
+        gen = from_lindbladian(instances.random_lindbladian(2, rng))
+        idx = rng.integers(0, 16, size=10**5)
+        sampled_frame_channel(gen, 0.01, idx[:1])  # fill the lazy sign table
+        tracemalloc.start()
+        try:
+            sampled_frame_channel(gen, 0.01, idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestRunRound:
     def test_zero_generator_certain_identity(self, rng):
@@ -130,8 +179,8 @@ class TestRunRound:
     def test_reported_frames_are_the_frames_applied(self, rng):
         # rebuild each slice from the reported letters as C_P e^(tau L) C_P,
         # with C_P the conjugation by P in the transfer basis
-        m = 7
-        for n in (1, 2):
+        # m = 1100 crosses an n = 1 chunk of framed slices
+        for n, m in ((1, 7), (2, 7), (1, 1100)):
             lind = instances.random_lindbladian(n, rng, k_max=n)
             gen = from_lindbladian(lind)
             w = pauli_vec_basis(n)

@@ -227,3 +227,25 @@ def test_detection_path_does_not_load_oracles():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_sampled_replay_is_exact_at_any_blas_thread_count(tmp_path):
+    # the report must not depend on how OpenBLAS splits the products
+    config = Path(__file__).parents[1] / "configs" / "two_qubit_mixed.yaml"
+    env = dict(os.environ, PYTHONPATH=str(Path(lindet.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    reports = []
+    for name, run_env in (("one", dict(env, OPENBLAS_NUM_THREADS="1")), ("unset", env)):
+        out = tmp_path / f"{name}.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "lindet.cli", "--seed", "9", "detect",
+                "--config", str(config), "--epsilon", "0.5", "--delta", "0.1",
+                "--mode", "sampled_pauli", "--full-report", "--out", str(out),
+                "--override-m", "3000", "--override-rounds", "3",
+            ],
+            env=run_env, capture_output=True,
+        )
+        assert proc.returncode in (0, 2), proc.stderr
+        reports.append((proc.returncode, out.read_bytes()))
+    assert reports[0] == reports[1]
