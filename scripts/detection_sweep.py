@@ -19,7 +19,7 @@ from typing import get_args
 
 from lindet.bell import RoundMode
 from lindet.cli import write_csv
-from lindet.detector import DetectionParams, resolve_promise, run_detection
+from lindet.detector import DetectionParams, run_detection
 from lindet.instances import dephasing
 
 
@@ -41,15 +41,7 @@ def main() -> None:
     rows = []
     for rate in args.rates:
         lind = dephasing(rate)
-        promise = resolve_promise(lind)
-        params_base = dict(
-            epsilon=args.epsilon,
-            delta=args.delta,
-            k=promise.k,
-            degree=promise.degree,
-            l_bound=promise.l_bound,
-            mode=args.mode,
-        )
+        params_base = dict(epsilon=args.epsilon, delta=args.delta, mode=args.mode)
         rejections = 0
         rounds_used = 0
         for seed in range(args.seeds):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -33,7 +34,6 @@ from .detector import (
     DetectionReport,
     Overrides,
     derive_parameters,
-    resolve_promise,
     run_detection,
 )
 from .errors import LindetError
@@ -91,13 +91,12 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 def cmd_detect(args: argparse.Namespace) -> int:
     config, lind = _load(args.config)
     seed = _resolve_seed(args)
-    promise = resolve_promise(lind, args.k, args.degree, args.l_bound)
     params = DetectionParams(
         epsilon=args.epsilon,
         delta=args.delta,
-        k=promise.k,
-        degree=promise.degree,
-        l_bound=promise.l_bound,
+        k=args.k,
+        degree=args.degree,
+        l_bound=args.l_bound,
         mode=args.mode,
         seed=seed,
         overrides=Overrides(
@@ -118,10 +117,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _print_report_summary(report: DetectionReport) -> None:
+    derived = report.derived
     _say(f"verdict: {report.verdict}")
     _say(
-        f"epsilon' = {report.epsilon_prime:.6g}, m = {report.m}, "
-        f"R = {report.rounds_planned}, t_max = {report.t_max:.6g} "
+        f"epsilon' = {derived.epsilon_prime:.6g}, m = {derived.m}, "
+        f"R = {derived.rounds}, t_max = {derived.t_max:.6g} "
         "(round count uses natural logarithms)"
     )
     _say(
@@ -137,8 +137,8 @@ def _print_report_summary(report: DetectionReport) -> None:
         f"queries {report.query_count}"
     )
     _say(
-        f"worst-case bounds (reference): T = {report.t_bound:.6g}, "
-        f"Q = {report.q_bound}"
+        f"worst-case bounds (reference): T = {derived.t_bound:.6g}, "
+        f"Q = {derived.q_bound}"
     )
     for warning in report.warnings:
         _say(f"warning: {warning}")
@@ -171,8 +171,8 @@ def curve_rows(config_path: str, t_max: float, points: int) -> list[tuple[float,
 def cmd_curve(args: argparse.Namespace) -> int:
     if args.points < 2:
         raise LindetError(f"points must be at least 2, got {args.points}")
-    if args.t_max <= 0:
-        raise LindetError(f"t-max must be positive, got {args.t_max}")
+    if not 0 < args.t_max < math.inf:
+        raise LindetError(f"t-max must be positive and finite, got {args.t_max}")
     write_csv(args.out, CURVE_HEADER, curve_rows(args.config, args.t_max, args.points))
     _say(f"{args.points} samples written to {args.out}")
     return EXIT_OK
@@ -187,14 +187,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_bell_dist(args: argparse.Namespace) -> int:
-    if args.t < 0:
-        raise LindetError(f"t must be non-negative, got {args.t}")
     config, lind = _load(args.config)
     channel = exp(from_lindbladian(lind, max_qubits=config.capacity), args.t)
     probs = bell_distribution(channel)
     with open(args.out, "w") as fh:
         fh.write("pauli,probability\n")
-        for p, prob in zip(enumerate_all(lind.n, max_qubits=6), probs):
+        for p, prob in zip(enumerate_all(lind.n), probs):
             fh.write(f"{p},{_fmt(float(prob))}\n")
     _say(f"{probs.size} outcomes written to {args.out}")
     return EXIT_OK

@@ -1,4 +1,4 @@
-"""Generator config files: YAML schema, validation, and construction.
+"""Generator config files: YAML schema and validation straight into the model.
 
 Schema (all Pauli strings use the text form over {I,X,Y,Z}, leftmost
 character = qubit 0; jump coefficients are (re, im) pairs for portability):
@@ -14,13 +14,16 @@ character = qubit 0; jump coefficients are (re, im) pairs for portability):
     declared_degree: 1            # optional; must match the derived degree
     capacity_override: 5          # optional; raises the dense-capacity cap
 
-Validation errors carry the line of the offending YAML node. Identity jump
-terms are rejected (jump operators are traceless by convention); an identity
+Reals may use exponent notation (``1e-3``) and must be finite. Validation
+errors carry the line of the offending YAML node. Identity jump terms are
+rejected (jump operators are traceless by convention); an identity
 Hamiltonian term is dropped silently (it is a pure phase).
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
 
 import yaml
@@ -37,29 +40,8 @@ from .paulis import DEFAULT_MAX_QUBITS, HARD_MAX_QUBITS, PauliString
 
 
 @dataclass(frozen=True)
-class HamiltonianTermSpec:
-    pauli: str
-    coeff: float
-
-
-@dataclass(frozen=True)
-class JumpTermSpec:
-    pauli: str
-    re: float
-    im: float
-
-
-@dataclass(frozen=True)
-class JumpSpec:
-    support: tuple[int, ...] | None
-    terms: tuple[JumpTermSpec, ...]
-
-
-@dataclass(frozen=True)
 class GeneratorConfig:
-    n: int
-    hamiltonian: tuple[HamiltonianTermSpec, ...]
-    jumps: tuple[JumpSpec, ...]
+    lindbladian: Lindbladian
     capacity_override: int | None
 
     @property
@@ -86,8 +68,14 @@ def _expect_int(node: yaml.Node, what: str) -> int:
 
 def _expect_real(node: yaml.Node, what: str) -> float:
     value = _scalar(node, what)
+    if isinstance(value, str) and node.style is None:
+        # YAML 1.1 reads a plain 1e-3 (no dot) as a string
+        with suppress(ValueError):
+            value = float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a real number, got {value!r}", _line(node))
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{what} must be finite, got {value!r}", _line(node))
     return float(value)
 
 
@@ -115,7 +103,7 @@ def _sequence_items(node: yaml.Node, what: str) -> list[yaml.Node]:
     return list(node.value)
 
 
-def _parse_pauli_text(node: yaml.Node, n: int, what: str) -> str:
+def _parse_pauli(node: yaml.Node, n: int, what: str) -> PauliString:
     text = _expect_str(node, what)
     if len(text) != n:
         raise ConfigError(
@@ -125,11 +113,11 @@ def _parse_pauli_text(node: yaml.Node, n: int, what: str) -> str:
         raise ConfigError(
             f"{what} {text!r} contains letters outside I/X/Y/Z", _line(node)
         )
-    return text
+    return PauliString.from_text(text)
 
 
 def load_config(path: str) -> GeneratorConfig:
-    """Parse and validate a generator config file."""
+    """Parse and validate a generator config file into its Lindbladian."""
     try:
         with open(path) as fh:
             root = yaml.compose(fh, Loader=yaml.SafeLoader)
@@ -182,7 +170,7 @@ def load_config(path: str) -> GeneratorConfig:
             _line(top["n"]),
         )
 
-    ham_terms: list[HamiltonianTermSpec] = []
+    ham_terms: list[tuple[PauliString, float]] = []
     if "hamiltonian" in top:
         for item in _sequence_items(top["hamiltonian"], "hamiltonian"):
             fields = _mapping_items(item, "hamiltonian term")
@@ -191,11 +179,10 @@ def load_config(path: str) -> GeneratorConfig:
                     "hamiltonian term must have exactly the keys pauli, coeff",
                     _line(item),
                 )
-            text = _parse_pauli_text(fields["pauli"], n, "hamiltonian pauli")
-            coeff = _expect_real(fields["coeff"], "hamiltonian coeff")
-            ham_terms.append(HamiltonianTermSpec(text, coeff))
+            p = _parse_pauli(fields["pauli"], n, "hamiltonian pauli")
+            ham_terms.append((p, _expect_real(fields["coeff"], "hamiltonian coeff")))
 
-    jump_specs: list[JumpSpec] = []
+    jumps: list[JumpOperator] = []
     if "jumps" in top:
         for item in _sequence_items(top["jumps"], "jumps"):
             fields = _mapping_items(item, "jump")
@@ -206,25 +193,21 @@ def load_config(path: str) -> GeneratorConfig:
                 )
             if "terms" not in fields:
                 raise ConfigError("jump is missing 'terms'", _line(item))
-            support: tuple[int, ...] | None = None
+            support: frozenset[int] | None = None
             if "support" in fields:
-                idx = [
-                    _expect_int(s, "support index")
-                    for s in _sequence_items(fields["support"], "support")
-                ]
-                for pos, q in enumerate(idx):
+                nodes = _sequence_items(fields["support"], "support")
+                idx = [_expect_int(node, "support index") for node in nodes]
+                for node, q in zip(nodes, idx):
                     if not 0 <= q < n:
                         raise ConfigError(
-                            f"support index {q} outside range(0, {n})",
-                            _line(_sequence_items(fields["support"], "support")[pos]),
+                            f"support index {q} outside range(0, {n})", _line(node)
                         )
                 if len(set(idx)) != len(idx):
                     raise ConfigError(
                         "support contains duplicate indices", _line(fields["support"])
                     )
-                support = tuple(sorted(idx))
-            terms: list[JumpTermSpec] = []
-            seen: set[str] = set()
+                support = frozenset(idx)
+            coeffs: dict[PauliString, complex] = {}
             term_nodes = _sequence_items(fields["terms"], "terms")
             if not term_nodes:
                 raise ConfigError("jump has no terms", _line(fields["terms"]))
@@ -235,36 +218,31 @@ def load_config(path: str) -> GeneratorConfig:
                         "jump term must have exactly the keys pauli, re, im",
                         _line(term_node),
                     )
-                text = _parse_pauli_text(tfields["pauli"], n, "jump pauli")
-                if text == "I" * n:
+                p = _parse_pauli(tfields["pauli"], n, "jump pauli")
+                if p.is_identity:
                     raise ConfigError(
                         "identity jump term not allowed: jump operators are "
                         "traceless (identity components belong to the "
                         "Hamiltonian and are not absorbed silently)",
                         _line(tfields["pauli"]),
                     )
-                if text in seen:
+                if p in coeffs:
                     raise ConfigError(
-                        f"duplicate jump term {text!r}", _line(tfields["pauli"])
+                        f"duplicate jump term {p.text()!r}", _line(tfields["pauli"])
                     )
-                seen.add(text)
-                terms.append(
-                    JumpTermSpec(
-                        text,
-                        _expect_real(tfields["re"], "re"),
-                        _expect_real(tfields["im"], "im"),
-                    )
+                coeffs[p] = complex(
+                    _expect_real(tfields["re"], "re"), _expect_real(tfields["im"], "im")
                 )
-            term_support = frozenset().union(
-                *(PauliString.from_text(t.pauli).support for t in terms)
-            )
-            if support is not None and not term_support <= frozenset(support):
+            term_support = frozenset().union(*(p.support for p in coeffs))
+            if support is None:
+                support = term_support
+            elif not term_support <= support:
                 raise ConfigError(
                     f"jump terms act on {sorted(term_support)}, outside the "
                     f"declared support {sorted(support)}",
                     _line(item),
                 )
-            jump_specs.append(JumpSpec(support, tuple(terms)))
+            jumps.append(JumpOperator(n, support, coeffs))
 
     declared_k = (
         _expect_int(top["declared_k"], "declared_k") if "declared_k" in top else None
@@ -275,17 +253,12 @@ def load_config(path: str) -> GeneratorConfig:
         else None
     )
 
-    config = GeneratorConfig(
-        n=n,
-        hamiltonian=tuple(ham_terms),
-        jumps=tuple(jump_specs),
-        capacity_override=capacity_override,
+    lind = Lindbladian(
+        n, HamiltonianSpec.from_terms(n, ham_terms), JumpOperatorSet(n, tuple(jumps))
     )
     # Validate declared locality/degree against the derived values now so the
     # error points at this file rather than a later detection run.
-    derived_k, derived_degree = derive_locality_degree(
-        build_lindbladian(config).dissipator
-    )
+    derived_k, derived_degree = derive_locality_degree(lind.dissipator)
     if declared_k is not None and declared_k != derived_k:
         raise ConfigError(
             f"declared_k={declared_k} does not match derived locality {derived_k}",
@@ -297,28 +270,14 @@ def load_config(path: str) -> GeneratorConfig:
             f"degree {derived_degree}",
             _line(top["declared_degree"]),
         )
-    return config
+    return GeneratorConfig(lind, capacity_override)
 
 
 def build_lindbladian(config: GeneratorConfig) -> Lindbladian:
-    n = config.n
-    ham = HamiltonianSpec.from_terms(
-        n,
-        [(PauliString.from_text(t.pauli), t.coeff) for t in config.hamiltonian],
-    )
-    jumps = []
-    for spec in config.jumps:
-        coeffs = {
-            PauliString.from_text(t.pauli): complex(t.re, t.im) for t in spec.terms
-        }
-        if spec.support is not None:
-            support = frozenset(spec.support)
-        else:
-            support = frozenset().union(*(p.support for p in coeffs))
-        jumps.append(JumpOperator(n, support, coeffs))
-    return Lindbladian(n, ham, JumpOperatorSet(n, tuple(jumps)))
+    """The generator of a loaded config."""
+    return config.lindbladian
 
 
 def parse_config(path: str) -> Lindbladian:
-    """Load, validate and realize a generator config as a Lindbladian."""
-    return build_lindbladian(load_config(path))
+    """Load and validate a generator config as a Lindbladian."""
+    return load_config(path).lindbladian

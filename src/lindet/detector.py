@@ -21,7 +21,7 @@ t_max factor are accepted and always recorded in the report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Literal
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .bell import RoundMode, RoundOutcome, run_round
 from .errors import DomainError
 from .model import Lindbladian, derive_locality_degree, diamond_upper_bound
-from .paulis import check_capacity, split_letters
+from .paulis import split_letters
 from .superop import from_lindbladian
 
 Verdict = Literal["ACCEPT", "REJECT"]
@@ -46,28 +46,40 @@ class Overrides:
 
 @dataclass(frozen=True)
 class DetectionParams:
+    """The inputs of a detection run.
+
+    ``k``, ``degree`` and ``l_bound`` are the promise (locality, degree and a
+    diamond-norm bound on the generator). None means "derive from the
+    generator": :func:`run_detection` resolves them with
+    :func:`resolve_promise` and its report records the resolved values.
+    """
+
     epsilon: float
     delta: float
-    k: int
-    degree: int
-    l_bound: float
+    k: int | None = None
+    degree: int | None = None
+    l_bound: float | None = None
     mode: RoundMode = "sampled_pauli"
     seed: int = 0
     overrides: Overrides = field(default_factory=Overrides)
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(
+                f"epsilon must be positive and finite, got {self.epsilon}"
+            )
         if not 0 < self.delta < 1:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise DomainError(f"locality must satisfy k >= 1, got {self.k}")
-        if self.degree < 1:
+        if self.degree is not None and self.degree < 1:
             raise DomainError(f"degree must satisfy Delta >= 1, got {self.degree}")
-        if self.l_bound <= 0:
-            raise DomainError(f"generator bound must be positive, got {self.l_bound}")
-        if self.overrides.t_max_factor <= 0:
-            raise DomainError("t_max_factor must be positive")
+        if self.l_bound is not None and not 0 < self.l_bound < math.inf:
+            raise DomainError(
+                f"generator bound must be positive and finite, got {self.l_bound}"
+            )
+        if not 0 < self.overrides.t_max_factor < math.inf:
+            raise DomainError("t_max_factor must be positive and finite")
         overridden = (self.overrides.m, self.overrides.rounds)
         if any(v is not None and v < 1 for v in overridden):
             raise DomainError("overrides must keep m >= 1 and rounds >= 1")
@@ -86,30 +98,14 @@ class DerivedParams:
 
 
 @dataclass(frozen=True)
-class Promise:
-    """The promise (k, Delta, L) resolved against a generator; ``warnings``
-    notes a supplied L below the computable bound."""
-
-    k: int
-    degree: int
-    l_bound: float
-    warnings: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class DetectionReport:
     verdict: Verdict
-    epsilon_prime: float
-    m: int
-    rounds_planned: int
-    t_max: float
+    derived: DerivedParams
     rounds: tuple[RoundOutcome, ...]
     rejecting_round: int | None
     total_evolution_time: float
     query_count: int
     params: DetectionParams
-    t_bound: float
-    q_bound: int
     warnings: tuple[str, ...] = ()
 
     def to_dict(self, frames: bool = True) -> dict:
@@ -120,18 +116,18 @@ class DetectionReport:
         ]
         if frames:
             for row, r in zip(rounds, self.rounds):
-                row["pauli_frames"] = split_letters(r.pauli_frames, self.m)
+                row["pauli_frames"] = split_letters(r.pauli_frames, self.derived.m)
         return {
             "verdict": self.verdict,
-            "epsilon_prime": self.epsilon_prime,
-            "m": self.m,
-            "rounds_planned": self.rounds_planned,
-            "t_max": self.t_max,
+            "epsilon_prime": self.derived.epsilon_prime,
+            "m": self.derived.m,
+            "rounds_planned": self.derived.rounds,
+            "t_max": self.derived.t_max,
             "rejecting_round": self.rejecting_round,
             "total_evolution_time": self.total_evolution_time,
             "query_count": self.query_count,
-            "t_bound": self.t_bound,
-            "q_bound": self.q_bound,
+            "t_bound": self.derived.t_bound,
+            "q_bound": self.derived.q_bound,
             "warnings": list(self.warnings),
             "params": asdict(self.params),
             "rounds": rounds,
@@ -139,67 +135,78 @@ class DetectionReport:
 
 
 def resolve_promise(
-    lind: Lindbladian,
-    k: int | None = None,
-    degree: int | None = None,
-    l_bound: float | None = None,
-) -> Promise:
-    """Resolve the promise (k, Delta, L) of a detection run against ``lind``.
+    lind: Lindbladian, params: DetectionParams
+) -> tuple[DetectionParams, tuple[str, ...]]:
+    """``params`` with the promise (k, Delta, L) resolved against ``lind``,
+    and the warnings the resolution raised.
 
-    An omitted k or Delta takes the generator's derived value (1 when it has
+    An unset k or Delta takes the generator's derived value (1 when it has
     no jumps); a given pair must equal the derived one unless there are no
-    jumps. An omitted L takes the computable diamond-norm bound (1.0 for the
-    zero generator, for which any positive bound holds); a supplied L is kept
-    as given and flagged when below that bound.
+    jumps. An unset L takes the computable diamond-norm bound (1.0 for the
+    zero generator, for which any positive bound holds); a given L is kept
+    and flagged when below that bound.
     """
     derived_k, derived_degree = derive_locality_degree(lind.dissipator)
-    k = (derived_k or 1) if k is None else k
-    degree = (derived_degree or 1) if degree is None else degree
+    k = (derived_k or 1) if params.k is None else params.k
+    degree = (derived_degree or 1) if params.degree is None else params.degree
     if not lind.dissipator.is_empty and (k, degree) != (derived_k, derived_degree):
         raise DomainError(
             f"declared locality/degree ({k}, {degree}) do not "
             f"match the generator's derived values ({derived_k}, {derived_degree})"
         )
     actual_bound = diamond_upper_bound(lind)
+    l_bound, warnings = params.l_bound, ()
     if l_bound is None:
-        return Promise(k, degree, actual_bound if actual_bound > 0 else 1.0)
-    warnings: tuple[str, ...] = ()
-    if l_bound < actual_bound - 1e-12:
+        l_bound = actual_bound if actual_bound > 0 else 1.0
+    elif l_bound < actual_bound - 1e-12:
         warnings = (
             f"supplied generator bound {l_bound:.6g} is below the "
             f"computable bound {actual_bound:.6g}; the promise may not hold",
         )
-    return Promise(k, degree, l_bound, warnings)
+    return replace(params, k=k, degree=degree, l_bound=l_bound), warnings
 
 
 def derive_parameters(params: DetectionParams) -> DerivedParams:
-    """Evaluate the constants of the procedure for a given promise, with the
-    overrides applied, and the worst-case budgets T and Q.
+    """Evaluate the constants of the procedure for a resolved promise, with
+    the overrides applied, and the worst-case budgets T and Q.
 
     T and Q are evaluated verbatim and printed for reference; realized
     budgets in a report always come from m times the number of executed
-    rounds.
+    rounds. Constants that overflow raise :class:`DomainError`.
     """
     epsilon, k, degree = params.epsilon, params.k, params.degree
-    sparsity = (4 * degree) ** k + 1
-    log_term = -math.log(params.delta)
-    m = math.ceil(192 * 9 ** (k - 1) * sparsity**2 * params.l_bound**2 / epsilon**2)
-    rounds = max(1, math.ceil((40 * 9**k) / 3 * log_term))
-    return DerivedParams(
-        epsilon_prime=epsilon / (2 * sparsity),
-        m=m if params.overrides.m is None else params.overrides.m,
-        rounds=rounds if params.overrides.rounds is None else params.overrides.rounds,
-        t_max=params.overrides.t_max_factor * (2 * sparsity) / epsilon,
-        t_bound=(80 * 9**k) / 3 * sparsity * log_term / epsilon,
-        q_bound=math.ceil(
-            2560
-            * 9 ** (2 * k - 1)
-            * (4 * degree + 1) ** 2
-            * params.l_bound**2
-            * log_term
-            / epsilon**2
-        ),
-    )
+    l_bound, overrides = params.l_bound, params.overrides
+    if None in (k, degree, l_bound):
+        raise DomainError("the promise (k, degree, l_bound) is not resolved")
+    try:
+        sparsity = (4 * degree) ** k + 1
+        log_term = -math.log(params.delta)
+        m = math.ceil(192 * 9 ** (k - 1) * sparsity**2 * l_bound**2 / epsilon**2)
+        rounds = max(1, math.ceil((40 * 9**k) / 3 * log_term))
+        derived = DerivedParams(
+            epsilon_prime=epsilon / (2 * sparsity),
+            m=m if overrides.m is None else overrides.m,
+            rounds=rounds if overrides.rounds is None else overrides.rounds,
+            t_max=overrides.t_max_factor * (2 * sparsity) / epsilon,
+            t_bound=(80 * 9**k) / 3 * sparsity * log_term / epsilon,
+            q_bound=math.ceil(
+                2560
+                * 9 ** (2 * k - 1)
+                * (4 * degree + 1) ** 2
+                * l_bound**2
+                * log_term
+                / epsilon**2
+            ),
+        )
+    except (OverflowError, ZeroDivisionError):
+        derived = None
+    if derived is None or not math.isfinite(derived.t_max + derived.t_bound):
+        raise DomainError(
+            f"the derived constants overflow at epsilon={epsilon:g}, "
+            f"delta={params.delta:g}, k={k}, degree={degree}, l_bound={l_bound:g}, "
+            f"t_max_factor={overrides.t_max_factor:g}"
+        )
+    return derived
 
 
 def run_detection(
@@ -209,19 +216,19 @@ def run_detection(
 ) -> DetectionReport:
     """Run up to R rounds with early stop at the first rejection.
 
-    Round i draws from the stream (seed, i), so a report replays exactly from
-    its params.
+    This is where a run's promise is resolved (:func:`resolve_promise`) and
+    its dense capacity ``max_qubits`` (default 4) checked, before any round.
+    The report records the resolved params, and round i draws from the
+    stream (seed, i), so a report replays exactly from its params.
     """
-    check_capacity(lind.n, max_qubits)
-    promise = resolve_promise(lind, params.k, params.degree, params.l_bound)
-    warnings = list(promise.warnings)
+    generator = from_lindbladian(lind, max_qubits)
+    params, warnings = resolve_promise(lind, params)
     derived = derive_parameters(params)
     if (params.overrides.m, params.overrides.rounds) != (None, None):
-        warnings.append(
-            f"overridden constants in effect: m={derived.m}, rounds={derived.rounds}"
+        warnings += (
+            f"overridden constants in effect: m={derived.m}, rounds={derived.rounds}",
         )
 
-    generator = from_lindbladian(lind, max_qubits)
     consumed: list[RoundOutcome] = []
     rejecting_round: int | None = None
     for index in range(derived.rounds):
@@ -234,16 +241,11 @@ def run_detection(
 
     return DetectionReport(
         verdict="REJECT" if rejecting_round is not None else "ACCEPT",
-        epsilon_prime=derived.epsilon_prime,
-        m=derived.m,
-        rounds_planned=derived.rounds,
-        t_max=derived.t_max,
+        derived=derived,
         rounds=tuple(consumed),
         rejecting_round=rejecting_round,
         total_evolution_time=float(sum(r.t_used for r in consumed)),
         query_count=derived.m * len(consumed),
         params=params,
-        t_bound=derived.t_bound,
-        q_bound=derived.q_bound,
-        warnings=tuple(warnings),
+        warnings=warnings,
     )

@@ -65,7 +65,7 @@ def _strings_on_support(n: int, support: frozenset[int]) -> list[PauliString]:
     """All non-identity strings supported inside the given set."""
     return [
         p
-        for p in enumerate_all(n, max_qubits=6)
+        for p in enumerate_all(n)
         if not p.is_identity and p.support <= support
     ]
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .paulis import HARD_MAX_QUBITS, PauliString, chi, matrix
+from .paulis import PauliString, chi, matrix
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class HamiltonianSpec:
         d = 2**self.n
         h = np.zeros((d, d), dtype=complex)
         for p, c in self.terms:
-            h += c * matrix(p, max_qubits=HARD_MAX_QUBITS)
+            h += c * matrix(p)
         return h
 
 
@@ -86,7 +86,7 @@ class JumpOperator:
         d = 2**self.n
         m = np.zeros((d, d), dtype=complex)
         for p, g in self.coefficients.items():
-            m += g * matrix(p, max_qubits=HARD_MAX_QUBITS)
+            m += g * matrix(p)
         return m
 
 

@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 
-# Dense realizations (matrices, enumerations, transfer-matrix tables) are
-# capped to keep memory and exponential cost desk-scale. The default admits
-# d^2 = 256 superoperators; configs may override up to the hard limit.
+# Dense realizations are capped to keep memory and exponential cost
+# desk-scale. The default caps superoperators (superop.from_lindbladian) at
+# d^2 = 256; configs may raise it up to the hard limit, which is also the one
+# cap on Pauli matrices and enumerations.
 DEFAULT_MAX_QUBITS = 4
 HARD_MAX_QUBITS = 6
 
@@ -150,11 +151,11 @@ def from_index(n: int, idx: int) -> PauliString:
     return PauliString(n, x, z)
 
 
-def enumerate_all(n: int, max_qubits: int | None = None) -> Iterator[PauliString]:
+def enumerate_all(n: int) -> Iterator[PauliString]:
     """All 4^n Pauli strings in canonical order (identity first)."""
     if n < 1:
         raise ValueError(f"qubit count must be positive, got n={n}")
-    check_capacity(n, max_qubits)
+    check_capacity(n, HARD_MAX_QUBITS)
     for idx in range(4**n):
         yield from_index(n, idx)
 
@@ -171,9 +172,9 @@ def sample_codes(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, 4, size=(size, n))
 
 
-def matrix(p: PauliString, max_qubits: int | None = None) -> np.ndarray:
+def matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n complex matrix of the string (qubit 0 = leftmost factor)."""
-    check_capacity(p.n, max_qubits)
+    check_capacity(p.n, HARD_MAX_QUBITS)
     m = np.ones((1, 1), dtype=complex)
     for i in range(p.n):
         m = np.kron(m, _SINGLE_QUBIT_MATRICES[p.letter(i)])

@@ -37,8 +37,8 @@ def pauli_vec_basis(n: int) -> np.ndarray:
     """Unitary d^2 x d^2 matrix whose columns are vec(P_j)/sqrt(d), canonical order."""
     d = 2**n
     w = np.empty((d * d, 4**n), dtype=complex)
-    for j, p in enumerate(enumerate_all(n, max_qubits=6)):
-        w[:, j] = matrix(p, max_qubits=6).flatten(order="F") / math.sqrt(d)
+    for j, p in enumerate(enumerate_all(n)):
+        w[:, j] = matrix(p).flatten(order="F") / math.sqrt(d)
     w.setflags(write=False)
     return w
 
@@ -108,7 +108,7 @@ def from_lindbladian(
 def from_diagonal(diss: DiagonalDissipator) -> SuperOperator:
     """Diagonal transfer matrix with the per-mode decay rates of the dissipator."""
     diag = np.array(
-        [diagonal_eigenvalue(diss, q) for q in enumerate_all(diss.n, max_qubits=6)],
+        [diagonal_eigenvalue(diss, q) for q in enumerate_all(diss.n)],
         dtype=complex,
     )
     return SuperOperator(diss.n, np.diag(diag))
@@ -158,9 +158,9 @@ def frobenius_normalized(s: SuperOperator) -> float:
 def exp(s: SuperOperator, t: float) -> SuperOperator:
     """Channel e^(t S), by scaling and squaring with a rational approximant
     (safe for the non-normal matrices Lindbladians produce)."""
-    if t < 0:
+    if not 0 <= t < math.inf:
         raise DomainError(
-            f"evolution time must be non-negative, got t={t} "
+            f"evolution time must be non-negative and finite, got t={t} "
             "(the evolution is not invertible in general)"
         )
     return SuperOperator(s.n, scipy.linalg.expm(t * s.mat))

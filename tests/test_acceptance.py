@@ -117,7 +117,7 @@ def test_criterion_02_hamiltonian_completeness():
         # (t/t_top)^2, stays an upper bound for every t <= t_top
         t_top = max(times)
         gen = from_lindbladian(lind)
-        half_bound = trotter_error_bound(gen, t_top / rep.m, rep.m) / 2
+        half_bound = trotter_error_bound(gen, t_top / rep.derived.m, rep.derived.m) / 2
         scaled = [half_bound * (t / t_top) ** 2 for t in times]
         bound_ok = all(d <= b + 1e-12 for d, b in zip(deficits, scaled))
         worst_ratio = max(worst_ratio, *(d / b for d, b in zip(deficits, scaled)))
@@ -125,7 +125,8 @@ def test_criterion_02_hamiltonian_completeness():
         fine = run_detection(
             lind,
             replace(
-                params, overrides=Overrides(m=100 * rep.m, rounds=len(rep.rounds))
+                params,
+                overrides=Overrides(m=100 * rep.derived.m, rounds=len(rep.rounds)),
             ),
         )
         fine_share = max(1 - r.p_identity for r in fine.rounds) / max(deficits)

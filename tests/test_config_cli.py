@@ -113,11 +113,42 @@ class TestConfigParsing:
                 "      - {pauli: Z, re: 1, im: 0}\n",
                 "declared_degree",
             ),
+            (
+                'n: 1\nhamiltonian:\n  - {pauli: Z, coeff: "1e-3"}\n',
+                "line 3: hamiltonian coeff must be a real number",
+            ),
+            (
+                "n: 1\nhamiltonian:\n  - {pauli: Z, coeff: .nan}\n",
+                "line 3: hamiltonian coeff must be finite",
+            ),
+            (
+                "n: 1\njumps:\n  - terms:\n      - {pauli: Z, re: .inf, im: 0}\n",
+                "line 4: re must be finite",
+            ),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, match):
         with pytest.raises(ConfigError, match=match):
             parse_config(write(tmp_path, text))
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        text = f"n: 1\nhamiltonian:\n  - {{pauli: Z, coeff: {10**309}}}\n"
+        message = "line 3: hamiltonian coeff must be finite"
+        with pytest.raises(ConfigError, match=message):
+            parse_config(write(tmp_path, text))
+
+    def test_plain_exponent_notation(self, tmp_path):
+        # YAML 1.1 resolves a plain 1e-3 (no dot) as a string
+        lind = parse_config(
+            write(
+                tmp_path,
+                "n: 1\nhamiltonian:\n  - {pauli: Z, coeff: -2E+1}\n"
+                "jumps:\n  - terms:\n      - {pauli: X, re: 1e-3, im: 0}\n",
+            )
+        )
+        assert lind.hamiltonian.terms == ((PauliString.from_text("Z"), -20.0),)
+        (jump,) = lind.dissipator.jumps
+        assert jump.coefficients == {PauliString.from_text("X"): 1e-3}
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
@@ -153,7 +184,7 @@ class TestConfigParsing:
         ):
             config = load_config(f"{CONFIGS}/{name}.yaml")
             lind = build_lindbladian(config)
-            assert lind.n == config.n
+            assert lind.n == config.lindbladian.n
 
 
 class TestCurveCommand:
@@ -435,6 +466,66 @@ class TestOtherCommands:
         )
         assert code == 1
         assert "generator bound must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,flag,value,message",
+        [
+            ("detect", "--l-bound", "inf", "bound must be positive and finite"),
+            ("detect", "--t-max-factor", "inf", "t_max_factor must be positive and"),
+            ("detect", "--t-max-factor", "nan", "t_max_factor must be positive and"),
+            ("detect", "--epsilon", "1e-300", "derived constants overflow"),
+            ("detect", "--epsilon", "nan", "epsilon must be positive and finite"),
+            ("detect", "--epsilon", "inf", "epsilon must be positive and finite"),
+            (
+                "detect", "--config", "nan_coeff",
+                "line 3: hamiltonian coeff must be finite",
+            ),
+            ("detect", "--config", "inf_re", "line 4: re must be finite"),
+            ("params", "--l-bound", "inf", "bound must be positive and finite"),
+            ("params", "--epsilon", "1e-300", "derived constants overflow"),
+            ("params", "--k", "400", "derived constants overflow"),
+            ("bell-dist", "--t", "inf", "time must be non-negative and finite"),
+            ("bell-dist", "--t", "nan", "time must be non-negative and finite"),
+            ("curve", "--t-max", "nan", "t-max must be positive and finite"),
+            ("curve", "--t-max", "inf", "t-max must be positive and finite"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
+    def test_non_finite_inputs_end_in_one_error_line(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        # each value replaces the default of its flag
+        configs = {
+            "nan_coeff": "n: 1\nhamiltonian:\n  - {pauli: Z, coeff: .nan}\n",
+            "inf_re": "n: 1\njumps:\n  - terms:\n      - {pauli: Z, re: .inf, im: 0}\n",
+        }
+        out = tmp_path / "out.csv"
+        defaults = {
+            "detect": {
+                "--config": f"{CONFIGS}/dephasing_strong.yaml",
+                "--epsilon": "0.5", "--delta": "0.1", "--mode": "averaged",
+            },
+            "params": {
+                "--epsilon": "0.5", "--delta": "0.1", "--k": "1", "--degree": "1",
+                "--l-bound": "1",
+            },
+            "bell-dist": {
+                "--config": f"{CONFIGS}/dephasing_strong.yaml", "--out": str(out),
+            },
+            "curve": {
+                "--config": f"{CONFIGS}/dephasing_strong.yaml", "--points": "5",
+                "--out": str(out),
+            },
+        }
+        if value in configs:
+            value = write(tmp_path, configs[value])
+        options = {**defaults[command], flag: value}
+        argv = ["--seed", "1", command, *(x for kv in options.items() for x in kv)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert message in err
+        assert not out.exists()
 
     def test_detect_missing_file(self):
         code = main(

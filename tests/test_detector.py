@@ -93,7 +93,7 @@ class TestRunDetection:
         report = run_detection(lind, params)
         assert report.verdict == "ACCEPT"
         assert all(r.p_identity == 1.0 for r in report.rounds)
-        assert len(report.rounds) == report.rounds_planned
+        assert len(report.rounds) == report.derived.rounds
 
     def test_hamiltonian_accepts_in_large_slice_limit(self):
         # finite slicing leaves a residual O((||H|| t)^2 / m) on the identity
@@ -125,9 +125,10 @@ class TestRunDetection:
     def test_budget_accounting(self):
         lind, params = dephasing_setup(seed=2)
         report = run_detection(lind, params)
-        assert report.query_count == report.m * len(report.rounds)
-        assert report.total_evolution_time <= report.rounds_planned * report.t_max
-        assert all(0 <= r.t_used <= report.t_max for r in report.rounds)
+        derived = report.derived
+        assert report.query_count == derived.m * len(report.rounds)
+        assert report.total_evolution_time <= derived.rounds * derived.t_max
+        assert all(0 <= r.t_used <= derived.t_max for r in report.rounds)
 
     def test_no_round_runs_past_the_first_rejection(self, monkeypatch):
         # rounds run one after another, whatever the environment asks for
@@ -144,6 +145,22 @@ class TestRunDetection:
             lind, params = dephasing_setup(seed=seed)
             reported += len(run_detection(lind, params).rounds)
         assert len(calls) == reported
+
+    @pytest.mark.parametrize("mode", ["averaged", "sampled_pauli"])
+    @pytest.mark.parametrize("case", ["dephasing", "zero_generator"])
+    def test_unset_promise_is_resolved_by_the_run(self, mode, case):
+        # the run derives k, Delta and L from the generator and reports them
+        if case == "dephasing":
+            lind, overrides = instances.dephasing(0.3536), Overrides()
+            promise = dict(k=1, degree=1, l_bound=diamond_upper_bound(lind))
+        else:
+            lind, overrides = hamiltonian_only(1, []), Overrides(m=50, rounds=3)
+            promise = dict(k=1, degree=1, l_bound=1.0)
+        common = dict(mode=mode, seed=5, overrides=overrides)
+        unset = run_detection(lind, DetectionParams(0.5, 0.1, **common))
+        explicit = run_detection(lind, DetectionParams(0.5, 0.1, **promise, **common))
+        assert unset.to_dict() == explicit.to_dict()
+        assert unset.params == DetectionParams(0.5, 0.1, **promise, **common)
 
     def test_promise_validation(self):
         lind = instances.dephasing(0.3536)
@@ -172,8 +189,8 @@ class TestRunDetection:
             overrides=Overrides(m=32, rounds=10),
         )
         report = run_detection(lind, params)
-        assert report.m == 32
-        assert report.rounds_planned == 10
+        assert report.derived.m == 32
+        assert report.derived.rounds == 10
         assert any("overridden" in w for w in report.warnings)
 
     def test_soundness_over_seeds(self):
@@ -206,7 +223,7 @@ class TestRunDetection:
         assert rounds
         for index, round_dict in enumerate(rounds):
             rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
-            assert rng.uniform(0.0, report.t_max) == round_dict["t_used"]
+            assert rng.uniform(0.0, report.derived.t_max) == round_dict["t_used"]
             codes = rng.integers(0, 4, size=(m, 2))
             letters = ["".join("IXYZ"[c] for c in row) for row in codes]
             assert round_dict["pauli_frames"] == letters
