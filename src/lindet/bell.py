@@ -27,7 +27,7 @@ logger = logging.getLogger(__name__)
 RoundMode = Literal["sampled_pauli", "averaged"]
 
 CLAMP_LOG_THRESHOLD = 1e-9
-FRAME_CHUNK_BYTES = 1 << 18
+FRAME_CHUNK_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,7 @@ def bell_distribution(s: SuperOperator) -> np.ndarray:
     post-measurement frame composes the channel with conjugation by P. The
     entry at the identity index equals identity_fraction(s).
     """
-    diag = np.diag(s.mat)
-    tol = STRUCT_TOL * max(1.0, float(np.abs(s.mat).max()))
-    if float(np.abs(diag.imag).max()) > tol:
-        raise ConsistencyError("transfer-matrix diagonal has imaginary residue")
-    probs = (chi_table(s.n).astype(float) @ diag.real) / s.dim
+    probs = (chi_table(s.n).astype(float) @ np.diag(s.mat)) / s.dim
     if probs.min() < -STRUCT_TOL or abs(probs.sum() - 1.0) > 1e-9:
         raise ConsistencyError(
             f"Bell outcome vector is not a probability distribution "

@@ -212,6 +212,8 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise LindetError(f"trials must be at least 1, got {args.trials}")
     seed = _resolve_seed(args)
     results = checks.run_suite(args.suite, args.trials, seed)
     for result in results:

@@ -14,7 +14,8 @@ character = qubit 0; jump coefficients are (re, im) pairs for portability):
     declared_degree: 1            # optional; must match the derived degree
     capacity_override: 5          # optional; raises the dense-capacity cap
 
-Reals may use exponent notation (``1e-3``) and must be finite. Validation
+Reals may use exponent notation (``1e-3``) and must be finite. A quoted
+scalar is a string, so ``coeff: "1.0"`` and ``n: "1"`` are rejected. Validation
 errors carry the line of the offending YAML node. Identity jump terms are
 rejected (jump operators are traceless by convention); an identity
 Hamiltonian term is dropped silently (it is a pure phase).
@@ -54,9 +55,11 @@ def _line(node: yaml.Node) -> int:
 
 
 def _scalar(node: yaml.Node, what: str):
+    """The node's value by the tag its composer resolved (a quoted scalar is
+    always a string)."""
     if not isinstance(node, yaml.ScalarNode):
         raise ConfigError(f"{what} must be a scalar", _line(node))
-    return yaml.safe_load(node.value) if node.value != "" else None
+    return yaml.constructor.SafeConstructor().construct_object(node)
 
 
 def _expect_int(node: yaml.Node, what: str) -> int:

@@ -42,8 +42,9 @@ def exp_eig(s: SuperOperator, t: float) -> SuperOperator:
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{residual_tol:.3e}; use superop.exp"
         )
+    # the exponential of a real matrix is real; the eigenbasis is complex
     out = (vecs * np.exp(t * vals)) @ np.linalg.inv(vecs)
-    return SuperOperator(s.n, out)
+    return SuperOperator(s.n, out.real)
 
 
 def twirl_average(s: SuperOperator) -> SuperOperator:

@@ -182,6 +182,14 @@ def matrix(p: PauliString) -> np.ndarray:
 
 
 @lru_cache(maxsize=HARD_MAX_QUBITS)
+def matrix_stack(n: int) -> np.ndarray:
+    """The 4^n Pauli matrices in canonical order, shape (4^n, 2^n, 2^n). Read-only."""
+    stack = np.array([matrix(p) for p in enumerate_all(n)])
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=HARD_MAX_QUBITS)
 def chi_table(n: int) -> np.ndarray:
     """4^n x 4^n table of commutation signs in canonical index order.
 

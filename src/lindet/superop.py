@@ -1,20 +1,18 @@
 """Dense superoperator engine.
 
-Superoperators are stored as d^2 x d^2 complex matrices over the orthonormal
-basis of normalized Pauli strings {P / sqrt(d)} in canonical order (the Pauli
-transfer matrix, PTM). In this basis a Hermiticity-preserving map has a real
-matrix and Pauli twirling is the diagonal projection.
-
-Internally, construction from a Lindbladian goes through the column-stacking
-vectorization vec(A rho B) = (B^T kron A) vec(rho); the unitary change of
-basis to normalized Paulis is cached per qubit count.
+A superoperator E is stored as its Pauli transfer matrix (PTM), the d^2 x d^2
+matrix M[i, j] = Tr(P_i E(P_j)) / d over the orthonormal basis of normalized
+Pauli strings {P / sqrt(d)} in canonical order. Every map the detector
+handles (e^(tL), its Pauli-framed and twirled slices) preserves Hermiticity,
+so its PTM is real and is stored as float64; a complex matrix is accepted
+only by the constructor, which keeps its real part. Pauli twirling is the
+diagonal projection in this basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -26,37 +24,34 @@ from .errors import (
     NumericError,
 )
 from .model import DiagonalDissipator, Lindbladian, diagonal_eigenvalue
-from .paulis import check_capacity, enumerate_all, matrix
+from .paulis import check_capacity, enumerate_all, matrix_stack
 
 # Structural tolerances: absolute, scaled by the matrix max-entry magnitude.
 STRUCT_TOL = 1e-10
 
 
-@lru_cache(maxsize=8)
-def pauli_vec_basis(n: int) -> np.ndarray:
-    """Unitary d^2 x d^2 matrix whose columns are vec(P_j)/sqrt(d), canonical order."""
-    d = 2**n
-    w = np.empty((d * d, 4**n), dtype=complex)
-    for j, p in enumerate(enumerate_all(n)):
-        w[:, j] = matrix(p).flatten(order="F") / math.sqrt(d)
-    w.setflags(write=False)
-    return w
-
-
 @dataclass(frozen=True)
 class SuperOperator:
-    """A linear map on operators, as its transfer matrix in the normalized
-    Pauli basis. Immutable after construction."""
+    """A Hermiticity-preserving linear map on operators, as its real transfer
+    matrix in the normalized Pauli basis. Immutable after construction."""
 
     n: int
     mat: np.ndarray
 
     def __post_init__(self) -> None:
         dim = 4**self.n
-        m = np.asarray(self.mat, dtype=complex)
+        m = np.asarray(self.mat)
         if m.shape != (dim, dim):
             raise DimensionError(f"expected a {dim}x{dim} matrix, got {m.shape}")
-        m = m.copy()
+        if np.iscomplexobj(m):
+            residue = float(np.abs(m.imag).max())
+            if residue > STRUCT_TOL * _entry_scale(m):
+                raise ConsistencyError(
+                    f"transfer matrix has imaginary residue {residue:.3e} beyond "
+                    "tolerance (the map does not preserve Hermiticity)"
+                )
+            m = m.real
+        m = np.array(m, dtype=np.float64)
         m.setflags(write=False)
         object.__setattr__(self, "mat", m)
 
@@ -74,43 +69,32 @@ class SuperOperator:
         return compose(self, other)
 
 
-def _vec_to_ptm(n: int, svec: np.ndarray) -> np.ndarray:
-    w = pauli_vec_basis(n)
-    return w.conj().T @ svec @ w
-
-
-def to_vec_basis(s: SuperOperator) -> np.ndarray:
-    """Transfer matrix over column-stacked matrix units (computational basis)."""
-    w = pauli_vec_basis(s.n)
-    return w @ s.mat @ w.conj().T
-
-
 def from_lindbladian(
     lind: Lindbladian, max_qubits: int | None = None
 ) -> SuperOperator:
-    """Realize L(rho) = -i[H, rho] + sum_a (L_a rho L_a^dag - 1/2 {L_a^dag L_a, rho})."""
+    """Realize L(rho) = -i[H, rho] + sum_a (L_a rho L_a^dag - 1/2 {L_a^dag L_a, rho})
+    by its definition M[i, j] = Tr(P_i L(P_j)) / d, on all 4^n strings at once."""
     check_capacity(lind.n, max_qubits)
     d = 2**lind.n
-    eye = np.eye(d, dtype=complex)
-    svec = np.zeros((d * d, d * d), dtype=complex)
-    if not lind.hamiltonian.is_zero:
-        h = lind.hamiltonian.dense()
-        svec += -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for j in lind.dissipator.jumps:
-        la = j.dense()
-        lad = la.conj().T
-        lala = lad @ la
-        svec += np.kron(la.conj(), la)
-        svec -= 0.5 * (np.kron(eye, lala) + np.kron(lala.T, eye))
-    return SuperOperator(lind.n, _vec_to_ptm(lind.n, svec))
+    paulis = matrix_stack(lind.n)
+    jumps = [j.dense() for j in lind.dissipator.jumps]
+    # L(P) = G P + P G^dag + sum_a L_a P L_a^dag, G = -iH - 1/2 sum_a L_a^dag L_a
+    g = -1j * lind.hamiltonian.dense()
+    for la in jumps:
+        g -= 0.5 * (la.conj().T @ la)
+    images = g @ paulis
+    images += paulis @ g.conj().T
+    for la in jumps:
+        images += la @ paulis @ la.conj().T
+    # Tr(P_i A) = sum_ab conj(P_i[b, a]) A[b, a], since P_i is Hermitian
+    flat = paulis.reshape(len(paulis), d * d)
+    mat = flat.conj() @ images.reshape(len(paulis), d * d).T
+    return SuperOperator(lind.n, mat / d)
 
 
 def from_diagonal(diss: DiagonalDissipator) -> SuperOperator:
     """Diagonal transfer matrix with the per-mode decay rates of the dissipator."""
-    diag = np.array(
-        [diagonal_eigenvalue(diss, q) for q in enumerate_all(diss.n)],
-        dtype=complex,
-    )
+    diag = [diagonal_eigenvalue(diss, q) for q in enumerate_all(diss.n)]
     return SuperOperator(diss.n, np.diag(diag))
 
 
@@ -127,7 +111,7 @@ def add(a: SuperOperator, b: SuperOperator) -> SuperOperator:
     return SuperOperator(a.n, a.mat + b.mat)
 
 
-def scale(a: SuperOperator, c: complex) -> SuperOperator:
+def scale(a: SuperOperator, c: float) -> SuperOperator:
     return SuperOperator(a.n, c * a.mat)
 
 
@@ -136,18 +120,8 @@ def _entry_scale(mat: np.ndarray) -> float:
 
 
 def identity_fraction(s: SuperOperator) -> float:
-    """Tr(S)/d^2: the Bell identity-outcome probability of the map.
-
-    Requires the trace to be real within tolerance (Hermiticity-preserving
-    sources); the residue is discarded after the check.
-    """
-    tr = complex(np.trace(s.mat))
-    tol = STRUCT_TOL * _entry_scale(s.mat) * s.dim
-    if abs(tr.imag) > tol:
-        raise ConsistencyError(
-            f"superoperator trace has imaginary residue {tr.imag:.3e} beyond tolerance"
-        )
-    return tr.real / s.dim
+    """Tr(S)/d^2: the Bell identity-outcome probability of the map."""
+    return float(np.trace(s.mat)) / s.dim
 
 
 def frobenius_normalized(s: SuperOperator) -> float:
@@ -163,7 +137,13 @@ def exp(s: SuperOperator, t: float) -> SuperOperator:
             f"evolution time must be non-negative and finite, got t={t} "
             "(the evolution is not invertible in general)"
         )
-    return SuperOperator(s.n, scipy.linalg.expm(t * s.mat))
+    out = scipy.linalg.expm(t * s.mat)
+    if not np.isfinite(out).all():
+        raise NumericError(
+            f"the channel exponential at t={t} is not finite "
+            "(the evolution time is beyond double precision)"
+        )
+    return SuperOperator(s.n, out)
 
 
 def eigenvalues(s: SuperOperator) -> np.ndarray:
@@ -183,15 +163,14 @@ def lambda_fraction(s: SuperOperator, eps: float) -> float:
 
 
 def choi(s: SuperOperator) -> np.ndarray:
-    """Normalized Choi state (E kron I)(|Phi><Phi|), reshuffled from the
-    transfer matrix: Hermitian for Hermiticity-preserving maps, unit trace for
-    trace-preserving ones."""
+    """Normalized Choi state (E kron I)(|Phi><Phi|) = sum_ij M_ij P_i kron P_j^T / d^2:
+    Hermitian for Hermiticity-preserving maps, unit trace for trace-preserving
+    ones."""
     d = 2**s.n
-    svec = to_vec_basis(s)
-    # svec[l*d+k, j*d+i] = <k| E(|i><j|) |l>  ->  J[k*d+i, l*d+j] (unnormalized)
-    s4 = svec.reshape(d, d, d, d)
-    j4 = s4.transpose(1, 3, 0, 2)
-    return j4.reshape(d * d, d * d) / d
+    flat = matrix_stack(s.n).reshape(s.dim, d * d)
+    # t[a, b, e, c] = sum_ij P_i[a, b] M_ij P_j[e, c]; P_j^T[c, e] = P_j[e, c]
+    t = (flat.T @ (s.mat @ flat)).reshape(d, d, d, d)
+    return t.transpose(0, 3, 1, 2).reshape(d * d, d * d) / d**2
 
 
 def diamond_bounds(s: SuperOperator) -> tuple[float, float]:

@@ -31,11 +31,15 @@ from lindet.superop import (
     from_diagonal,
     from_lindbladian,
     identity_fraction,
-    pauli_vec_basis,
 )
 from lindet.twirl import trotterized_twirled
 
-from helpers import hamiltonian_only, identity_superop, is_trace_preserving
+from helpers import (
+    hamiltonian_only,
+    identity_superop,
+    is_trace_preserving,
+    pauli_vec_basis,
+)
 
 
 def P(text):

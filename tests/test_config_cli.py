@@ -125,6 +125,11 @@ class TestConfigParsing:
                 "n: 1\njumps:\n  - terms:\n      - {pauli: Z, re: .inf, im: 0}\n",
                 "line 4: re must be finite",
             ),
+            (
+                'n: 1\nhamiltonian:\n  - {pauli: Z, coeff: "1.0"}\n',
+                "line 3: hamiltonian coeff must be a real number, got '1.0'",
+            ),
+            ('n: "1"\n', "line 1: n must be an integer, got '1'"),
         ],
     )
     def test_invalid_configs(self, tmp_path, text, match):
@@ -488,6 +493,10 @@ class TestOtherCommands:
             ("bell-dist", "--t", "nan", "time must be non-negative and finite"),
             ("curve", "--t-max", "nan", "t-max must be positive and finite"),
             ("curve", "--t-max", "inf", "t-max must be positive and finite"),
+            ("bell-dist", "--t", "1e300", "exponential at t=1e+300 is not finite"),
+            ("curve", "--t-max", "1e300", "is not finite"),
+            ("verify", "--trials", "0", "trials must be at least 1, got 0"),
+            ("verify", "--trials", "-1", "trials must be at least 1, got -1"),
         ],
     )
     @pytest.mark.filterwarnings("error")  # a warning would be one more stderr line
@@ -509,13 +518,15 @@ class TestOtherCommands:
                 "--epsilon": "0.5", "--delta": "0.1", "--k": "1", "--degree": "1",
                 "--l-bound": "1",
             },
+            # a coherent rotation has no finite exponential at t = 1e300
             "bell-dist": {
-                "--config": f"{CONFIGS}/dephasing_strong.yaml", "--out": str(out),
+                "--config": f"{CONFIGS}/hamiltonian_z.yaml", "--out": str(out),
             },
             "curve": {
-                "--config": f"{CONFIGS}/dephasing_strong.yaml", "--points": "5",
+                "--config": f"{CONFIGS}/hamiltonian_z.yaml", "--points": "5",
                 "--out": str(out),
             },
+            "verify": {},
         }
         if value in configs:
             value = write(tmp_path, configs[value])
@@ -526,6 +537,13 @@ class TestOtherCommands:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
         assert message in err
         assert not out.exists()
+
+    def test_huge_time_reaches_the_dephasing_limit(self, tmp_path):
+        out = tmp_path / "bell.csv"
+        argv = ["bell-dist", "--config", f"{CONFIGS}/dephasing_strong.yaml",
+                "--t", "1e300", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text() == "pauli,probability\nI,0.5\nX,0\nY,0\nZ,0.5\n"
 
     def test_detect_missing_file(self):
         code = main(

@@ -10,7 +10,7 @@ from lindet.model import (
     Lindbladian,
 )
 from lindet.oracles import exp_eig, lindblad_dense_action
-from lindet.paulis import PauliString, enumerate_all, matrix
+from lindet.paulis import PauliString, enumerate_all, matrix, matrix_stack
 from lindet.superop import (
     SuperOperator,
     add,
@@ -24,17 +24,19 @@ from lindet.superop import (
     from_lindbladian,
     identity_fraction,
     lambda_fraction,
-    pauli_vec_basis,
     purity,
     scale,
-    to_vec_basis,
 )
 
 from helpers import (
+    choi_reshuffled,
     hamiltonian_only,
     identity_superop,
     is_hermiticity_preserving,
     is_trace_preserving,
+    lindbladian_vec,
+    pauli_vec_basis,
+    to_vec_basis,
     zero_superop,
 )
 
@@ -86,6 +88,23 @@ class TestConstruction:
             x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             got = (svec @ x.flatten(order="F")).reshape(d, d, order="F")
             want = lindblad_dense_action(lind, x)
+            assert np.abs(got - want).max() < 1e-10
+
+    def test_matches_column_stacked_construction(self, rng):
+        for n in (1, 2, 3, 4, 4):
+            lind = instances.random_lindbladian(n, rng, k_max=min(2, n))
+            w = pauli_vec_basis(n)
+            want = w.conj().T @ lindbladian_vec(lind) @ w
+            assert np.abs(from_lindbladian(lind).mat - want).max() < 1e-12
+
+    def test_columns_match_dense_action_at_capacity_5(self, rng):
+        # column j expands L(P_j) = sum_i M[i, j] P_i
+        lind = instances.random_lindbladian(5, rng, k_max=2)
+        gen = from_lindbladian(lind, max_qubits=5)
+        paulis = matrix_stack(5)
+        for j in (0, 1, 87, 512, 1023):
+            got = np.tensordot(gen.mat[:, j], paulis, axes=1)
+            want = lindblad_dense_action(lind, paulis[j])
             assert np.abs(got - want).max() < 1e-10
 
     def test_generator_realizations_real(self, rng):
@@ -160,9 +179,13 @@ class TestIdentityFraction:
         assert identity_fraction(s) == pytest.approx(overlap, abs=1e-10)
 
     def test_imaginary_residue_rejected(self):
-        bad = SuperOperator(1, np.diag([1.0, 1j, 0, 0]))
         with pytest.raises(ConsistencyError):
-            identity_fraction(bad)
+            identity_fraction(SuperOperator(1, np.diag([1.0, 1j, 0, 0])))
+
+    def test_storage_is_real(self):
+        within_tolerance = np.diag([1.0, 1e-12j, 0, 0])
+        for mat in (np.eye(4, dtype=int), np.eye(4), within_tolerance):
+            assert SuperOperator(1, mat).mat.dtype == np.float64
 
 
 class TestNorms:
@@ -198,10 +221,11 @@ class TestNorms:
             svec = np.zeros((d * d, d * d), dtype=complex)
             for (i, j), a in table.items():
                 svec += a * np.kron(matrix(strings[j]).T, matrix(strings[i]))
+            # complex sandwich maps do not preserve Hermiticity: no SuperOperator
             w = pauli_vec_basis(n)
-            sandwich = SuperOperator(n, w.conj().T @ svec @ w)
+            sandwich = w.conj().T @ svec @ w
             mass = sum(abs(a) ** 2 for a in table.values())
-            assert frobenius_normalized(sandwich) ** 2 == pytest.approx(
+            assert (np.linalg.norm(sandwich) / d) ** 2 == pytest.approx(
                 mass, abs=1e-9 * max(1.0, mass)
             )
 
@@ -297,6 +321,11 @@ class TestChoiAndDiamond:
             assert np.abs(c - c.conj().T).max() < 1e-10
             assert np.trace(c).real == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.eigvalsh(c).min() >= -1e-10
+
+    def test_matches_reshuffle(self, rng):
+        for n in (1, 2, 3):
+            s = random_channel(n, rng)
+            assert np.abs(choi(s) - choi_reshuffled(s)).max() < 1e-12
 
     def test_diamond_bounds_examples(self, rng):
         assert diamond_bounds(zero_superop(1)) == (0.0, 0.0)
