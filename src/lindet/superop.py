@@ -7,15 +7,22 @@ handles (e^(tL), its Pauli-framed and twirled slices) preserves Hermiticity,
 so its PTM is real and is stored as float64; a complex matrix is accepted
 only by the constructor, which keeps its real part. Pauli twirling is the
 diagonal projection in this basis.
+
+The exponential scales and squares a truncated Taylor polynomial, using only
+numpy: a fixed table gives, per degree, the largest 1-norm at which the
+polynomial's backward error is at most the unit roundoff u = 2^-53
+(Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011), and each polynomial is
+evaluated by the Paterson-Stockmeyer scheme. A rotation phase of 1/u radians
+or more is refused rather than returned with its phase lost to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConsistencyError,
@@ -58,6 +65,11 @@ class SuperOperator:
     @property
     def dim(self) -> int:
         return 4**self.n
+
+    @functools.cached_property
+    def norm1(self) -> float:
+        """Largest absolute column sum of the transfer matrix."""
+        return float(np.abs(self.mat).sum(axis=0).max())
 
     def __add__(self, other: "SuperOperator") -> "SuperOperator":
         return add(self, other)
@@ -129,20 +141,139 @@ def frobenius_normalized(s: SuperOperator) -> float:
     return float(np.linalg.norm(s.mat)) / 2**s.n
 
 
+# Unit roundoff of float64.
+_U = 2.0**-53
+# (degree m, theta_m): theta_m is the largest ||A||_1 at which the degree-m
+# Taylor polynomial T_m(A) = e^(A + E) has ||E||_1 <= u ||A||_1, truncated
+# from the roots of sum_{k>m} |c_k| theta^(k-1) = u, where
+# log(e^(-x) T_m(x)) = sum_k c_k x^k. Only degrees at which the
+# Paterson-Stockmeyer product count rises are listed; degrees beyond 20 cost
+# more than one squaring buys.
+_TAYLOR_THETA = (
+    (1, 2.22044604925031e-16),
+    (2, 2.58095680297176e-8),
+    (4, 3.39716883997696e-4),
+    (6, 9.06565640759510e-3),
+    (9, 8.95776020322334e-2),
+    (12, 2.99615891381158e-1),
+    (16, 7.80287425662657e-1),
+    (20, 1.43825259680433),
+)
+
+
+@dataclass(frozen=True)
+class _TaylorPlan:
+    """Paterson-Stockmeyer evaluation of sum_{k<=degree} A^k / k!: the
+    polynomial is sum_j B_j (A^p)^j with B_j = coeffs[j] . (I, A, .., A^(p-1)),
+    run by Horner's rule in A^p. When p divides the degree, the top block is
+    the scalar 1/degree! and is folded into the first Horner step (lead)."""
+
+    degree: int
+    theta: float
+    block: int
+    coeffs: np.ndarray
+    lead: float
+    products: int
+
+
+def _taylor_plan(degree: int, theta: float) -> _TaylorPlan:
+    def products(p: int) -> int:
+        return p - 1 + degree // p - (degree % p == 0)
+
+    p = min(range(1, degree + 1), key=products)
+    rows = degree // p + 1
+    coeffs = np.zeros((rows, p))
+    for k in range(degree + 1):
+        coeffs[divmod(k, p)] = 1.0 / math.factorial(k)
+    lead = 0.0
+    if degree % p == 0:
+        lead = coeffs[-1, 0]
+        coeffs = coeffs[:-1]
+    return _TaylorPlan(degree, theta, p, coeffs, lead, products(p))
+
+
+_TAYLOR_PLANS = tuple(_taylor_plan(m, theta) for m, theta in _TAYLOR_THETA)
+
+
+def _pick_plan(norm: float) -> tuple[_TaylorPlan, int]:
+    """The plan and squaring count s with the fewest matrix products that
+    keep ||A||_1 / 2^s within the plan's theta; ties go to fewer squarings."""
+    best, best_s = _TAYLOR_PLANS[0], 0
+    best_cost = math.inf
+    frac, expo = math.frexp(norm)
+    for plan in _TAYLOR_PLANS:
+        # exact: with norm = f 2^e and theta = g 2^h (f, g in [1/2, 1)), the
+        # least s with norm / 2^s <= theta is e - h, plus one when f > g
+        theta_frac, theta_expo = math.frexp(plan.theta)
+        s = 0 if norm <= plan.theta else expo - theta_expo + (frac > theta_frac)
+        if plan.products + s <= best_cost:
+            best, best_s, best_cost = plan, s, plan.products + s
+        if s == 0:
+            break  # every later plan costs more and needs no squaring either
+    return best, best_s
+
+
+@functools.cache
+def _identity(size: int) -> np.ndarray:
+    eye = np.eye(size)
+    eye.setflags(write=False)
+    return eye
+
+
+def _taylor_exp(a: np.ndarray, plan: _TaylorPlan) -> np.ndarray:
+    size = len(a)
+    powers = [_identity(size), a]
+    for _ in range(plan.block - 1):
+        powers.append(powers[-1] @ a)
+    top = powers.pop()
+    blocks = plan.coeffs @ np.reshape(powers, (plan.block, -1))
+    blocks = blocks.reshape(-1, size, size)
+    j = len(blocks) - 1
+    out = blocks[j] if plan.lead == 0.0 else plan.lead * top + blocks[j]
+    for j in range(j - 1, -1, -1):
+        out = out @ top + blocks[j]
+    return out
+
+
+def _antisymmetric_norm1(mat: np.ndarray) -> float:
+    return float(np.abs(mat - mat.T).sum(axis=0).max()) / 2
+
+
+def _beyond_precision(t: float, why: str) -> NumericError:
+    return NumericError(
+        f"the channel exponential at t={t} is not finite in double precision ({why})"
+    )
+
+
 def exp(s: SuperOperator, t: float) -> SuperOperator:
-    """Channel e^(t S), by scaling and squaring with a rational approximant
-    (safe for the non-normal matrices Lindbladians produce)."""
+    """Channel e^(t S), by scaling and squaring a truncated Taylor polynomial
+    whose degree and squaring count come from the backward-error table above.
+
+    Raises NumericError when t S or the result is not finite, and when
+    u t ||(S - S^T)/2||_1 >= 1: the antisymmetric part carries the rotation
+    phase, and at that size rounding has consumed all of it.
+    """
     if not 0 <= t < math.inf:
         raise DomainError(
             f"evolution time must be non-negative and finite, got t={t} "
             "(the evolution is not invertible in general)"
         )
-    out = scipy.linalg.expm(t * s.mat)
-    if not np.isfinite(out).all():
-        raise NumericError(
-            f"the channel exponential at t={t} is not finite "
-            "(the evolution time is beyond double precision)"
-        )
+    norm = t * s.norm1
+    if not math.isfinite(norm):
+        raise _beyond_precision(t, "t times the generator overflows")
+    # ||(S - S^T)/2||_1 <= (1 + d^2)/2 ||S||_1, so most calls skip the phase norm
+    if _U * norm * (1 + s.dim) >= 2 and _U * t * _antisymmetric_norm1(s.mat) >= 1:
+        raise _beyond_precision(t, "rounding has consumed its rotation phase")
+    plan, squarings = _pick_plan(norm)
+    a = t * s.mat
+    if squarings:
+        a *= 2.0**-squarings
+    out = _taylor_exp(a, plan)
+    for _ in range(squarings):
+        out = out @ out
+    # without squaring, ||e^A||_1 <= e^theta stays finite
+    if squarings and not np.isfinite(out).all():
+        raise _beyond_precision(t, "the result overflows")
     return SuperOperator(s.n, out)
 
 

@@ -494,6 +494,8 @@ class TestOtherCommands:
             ("curve", "--t-max", "nan", "t-max must be positive and finite"),
             ("curve", "--t-max", "inf", "t-max must be positive and finite"),
             ("bell-dist", "--t", "1e300", "exponential at t=1e+300 is not finite"),
+            # finite, but the rotation phase 2e20 rad is below double precision
+            ("bell-dist", "--t", "1e20", "exponential at t=1e+20 is not finite"),
             ("curve", "--t-max", "1e300", "is not finite"),
             ("verify", "--trials", "0", "trials must be at least 1, got 0"),
             ("verify", "--trials", "-1", "trials must be at least 1, got -1"),
@@ -518,7 +520,7 @@ class TestOtherCommands:
                 "--epsilon": "0.5", "--delta": "0.1", "--k": "1", "--degree": "1",
                 "--l-bound": "1",
             },
-            # a coherent rotation has no finite exponential at t = 1e300
+            # a coherent rotation keeps no phase at t = 1e20 or 1e300
             "bell-dist": {
                 "--config": f"{CONFIGS}/hamiltonian_z.yaml", "--out": str(out),
             },

@@ -246,6 +246,19 @@ def test_detection_path_does_not_load_oracles():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_does_not_load_scipy():
+    # scipy would bring a second OpenBLAS whose threads contend with numpy's
+    code = (
+        "import sys, lindet.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(lindet.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sampled_replay_is_exact_at_any_blas_thread_count(tmp_path):
     # the report must not depend on how OpenBLAS splits the products
     config = Path(__file__).parents[1] / "configs" / "two_qubit_mixed.yaml"

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,7 +15,11 @@ from lindet.model import (
 from lindet.oracles import exp_eig, lindblad_dense_action
 from lindet.paulis import PauliString, enumerate_all, matrix, matrix_stack
 from lindet.superop import (
+    _TAYLOR_PLANS,
+    _TAYLOR_THETA,
     SuperOperator,
+    _pick_plan,
+    _taylor_exp,
     add,
     choi,
     compose,
@@ -264,6 +271,86 @@ class TestExponential:
             assert np.abs(pade.mat - eig.mat).max() < 1e-9 * scale_ref
             checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (1, 1), (2, 2)])
+    def test_matches_mpmath_reference(self, n, seed):
+        # one norm per regime of the plan: the low degrees, no squaring, and
+        # up to eight squarings
+        gen = from_lindbladian(
+            instances.random_lindbladian(n, np.random.default_rng(seed), k_max=n)
+        )
+        mpmath.mp.dps = 40
+        for norm in (1e-8, 1e-4, 1e-3, 1e-2, 0.5, 2.0, 20.0, 200.0):
+            t = norm / gen.norm1
+            ref = mpmath.expm(mpmath.matrix((t * gen.mat).tolist()))
+            ref = np.array(ref.tolist(), dtype=float)
+            err = np.abs(exp(gen, t).mat - ref).max()
+            assert err <= 1e-12 * max(1.0, np.abs(ref).max()), (norm, err)
+
+    @pytest.mark.parametrize("degree, theta", _TAYLOR_THETA)
+    def test_theta_within_backward_error_bound(self, degree, theta):
+        # theta_m is the root of h(x) = sum_{k>m} |c_k| x^(k-1) = u, where
+        # log(e^(-x) T_m(x)) = sum_k c_k x^k; recomputed here by bisection
+        mpmath.mp.dps = 30
+        terms = 150
+        g = [mpmath.mpf(1)] + [
+            mpmath.fsum(
+                mpmath.mpf(-1) ** (k - j) / (math.factorial(j) * math.factorial(k - j))
+                for j in range(min(k, degree) + 1)
+            )
+            for k in range(1, terms + 1)
+        ]
+        c = [mpmath.mpf(0)] * (terms + 1)
+        for k in range(degree + 1, terms + 1):
+            c[k] = g[k] - mpmath.fsum(j * c[j] * g[k - j] for j in range(1, k)) / k
+        tail = [abs(x) for x in c[degree + 1 :]]
+
+        def excess(x):
+            return x**degree * mpmath.polyval(tail[::-1], x) - mpmath.mpf(2) ** -53
+
+        hi = mpmath.mpf(1)
+        while excess(hi) <= 0:
+            hi *= 2
+        lo = hi / 2
+        while excess(lo) > 0:
+            lo, hi = lo / 2, lo
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) <= 0 else (lo, mid)
+        assert theta <= lo
+        assert theta >= float(lo) * (1 - 1e-13)
+
+    @pytest.mark.parametrize("plan", _TAYLOR_PLANS, ids=lambda p: f"degree{p.degree}")
+    def test_paterson_stockmeyer_is_the_taylor_polynomial(self, plan, rng):
+        a = rng.standard_normal((16, 16))
+        a *= plan.theta / np.abs(a).sum(axis=0).max()
+        term, want = np.eye(16), np.eye(16)
+        for k in range(1, plan.degree + 1):
+            term = term @ a / k
+            want += term
+        assert np.abs(_taylor_exp(a, plan) - want).max() < 1e-15
+
+    def test_plan_takes_the_fewest_products(self):
+        for norm in np.geomspace(1e-18, 1e300, 400):
+            plan, squarings = _pick_plan(float(norm))
+            assert math.ldexp(norm, -squarings) <= plan.theta
+            fewest = min(
+                p.products + max(0, math.ceil(math.log2(norm) - math.log2(p.theta)))
+                for p in _TAYLOR_PLANS
+            )
+            assert plan.products + squarings == fewest, norm
+
+    def test_lost_rotation_phase_is_an_error(self):
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", 1.0)]))
+        assert np.isfinite(exp(gen, 1e15).mat).all()
+        # u t ||(S - S^T)/2||_1 = 2^-53 * 1e20 * 2 >= 1
+        with pytest.raises(NumericError, match=r"exponential at t=1e\+20 is not finite"):
+            exp(gen, 1e20)
+
+    def test_overflowing_argument_is_an_error(self):
+        gen = from_lindbladian(instances.depolarizing(1.0))
+        with pytest.raises(NumericError, match="is not finite"):
+            exp(gen, 1e308)
 
     def test_channel_properties(self, rng):
         for _ in range(6):
