@@ -233,5 +233,5 @@ def split_letters(letters: str, count: int) -> list[str]:
     """The ``count`` equal-length Pauli texts joined in ``letters``."""
     if not letters:
         return []
-    n = len(letters) // count
-    return [letters[i : i + n] for i in range(0, len(letters), n)]
+    # zip takes n letters at a time from one iterator
+    return list(map("".join, zip(*[iter(letters)] * (len(letters) // count))))

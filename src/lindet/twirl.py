@@ -29,6 +29,19 @@ def twirled_step(generator: SuperOperator, tau: float) -> SuperOperator:
     return twirl_exact(exp(generator, tau))
 
 
+def diagonal_power(mat: np.ndarray, m: int) -> np.ndarray | None:
+    """The m-th power of a diagonal transfer matrix, or None for any other.
+
+    A matrix with no nonzero off-diagonal entry (an exact count, no
+    tolerance) is Pauli-diagonal: its m-th power is the elementwise power of
+    its diagonal, and it commutes with every Pauli conjugation.
+    """
+    diag = np.diag(mat)
+    if np.count_nonzero(mat) != np.count_nonzero(diag):
+        return None
+    return np.diag(diag**m)
+
+
 def trotterized_twirled(generator: SuperOperator, tau: float, m: int) -> SuperOperator:
     """m-fold composition of the twirled slice.
 
@@ -39,10 +52,10 @@ def trotterized_twirled(generator: SuperOperator, tau: float, m: int) -> SuperOp
     if m < 1:
         raise DomainError(f"slice count must be at least 1, got m={m}")
     step = twirled_step(generator, tau).mat
-    diag = np.diag(step)
-    if np.count_nonzero(step) == np.count_nonzero(diag):
-        return SuperOperator(generator.n, np.diag(diag**m))
-    return SuperOperator(generator.n, np.linalg.matrix_power(step, m))
+    power = diagonal_power(step, m)
+    if power is None:
+        power = np.linalg.matrix_power(step, m)
+    return SuperOperator(generator.n, power)
 
 
 def trotter_error_bound(generator: SuperOperator, tau: float, m: int) -> float:

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -7,6 +8,9 @@ import pytest
 from lindet import instances
 from lindet.bell import (
     FRAME_CHUNK_BYTES,
+    FRAME_DRAW_CHUNK,
+    WORD_TABLE_BYTES,
+    _word_tables,
     bell_distribution,
     run_round,
     sampled_frame_channel,
@@ -21,6 +25,7 @@ from lindet.paulis import (
     PauliString,
     chi_table,
     indices_from_codes,
+    letters_from_codes,
     matrix,
     split_letters,
 )
@@ -111,6 +116,23 @@ class TestSampledFrameChannel:
         se = values.std() / np.sqrt(draws)
         assert abs(values.mean() - target) < 3 * se + 1e-12
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_frame_average_is_the_twirled_composition(self, m):
+        # the mean over all 4^m frame sequences, exactly, not by sampling
+        lind = Lindbladian(
+            1,
+            HamiltonianSpec.from_terms(1, [(P("X"), 0.9)]),
+            instances.dephasing(0.7).dissipator,
+        )
+        gen = from_lindbladian(lind)
+        tau = 1.3 / m
+        mean = sum(
+            sampled_frame_channel(gen, tau, np.array(frames)).mat
+            for frames in itertools.product(range(4), repeat=m)
+        ) / 4**m
+        want = trotterized_twirled(gen, tau, m).mat
+        assert np.abs(mean - want).max() <= 1e-14
+
     def test_composition_is_cptp(self, rng):
         lind = instances.random_lindbladian(2, rng)
         gen = from_lindbladian(lind)
@@ -132,6 +154,54 @@ class TestSampledFrameChannel:
             want = ordered_fold(step, n, idx)
             # the bench's sampled p_tolerance, 4 u d^2 (m + 1)
             assert np.abs(got - want).max() <= 4 * 2**-53 * d2 * (m + 1)
+
+    @pytest.mark.parametrize(
+        "n, m, levels",
+        [(1, 3, 0), (1, 4, 1), (1, 31, 1), (1, 32, 2), (1, 1023, 2), (1, 1024, 3),
+         (1, 10**6, 3), (2, 15, 0), (2, 16, 1), (2, 511, 1), (2, 512, 2),
+         (2, 10**6, 2), (3, 10**6, 0)],
+    )
+    def test_word_length_follows_the_table_budget(self, n, m, levels):
+        # a table of 4^(n 2^j) words is built while that count is at most
+        # the m / 2^j words of its length and it fits the budget
+        assert WORD_TABLE_BYTES == 1 << 20
+        step = np.eye(4**n)
+        tables = _word_tables(step, chi_table(n).astype(float), m)
+        assert [len(t) for t in tables] == [4 ** (n << j) for j in range(levels)]
+
+    # (n, words per chunk, word length L once every table is built, the
+    # least m at which it is)
+    WORDS = [(1, 1024, 4, 1024), (2, 64, 2, 512), (3, 4, 1, 1)]
+
+    @pytest.mark.parametrize("n, chunk, length, full", WORDS)
+    def test_word_tables_match_ordered_fold(self, n, chunk, length, full, rng):
+        gen = from_lindbladian(instances.random_lindbladian(n, rng, k_max=min(2, n)))
+        tau = 0.05
+        step = exp(gen, tau).mat
+        d2 = 4**n
+        span = chunk * length
+        # the smallest m past `full` whose tail of m mod L = L - 1 frames
+        # goes through every smaller table
+        tail = full + length - 1
+        edges = [q * span + e for q in (1, 2, full // span + 1) for e in (-1, 0, 1)]
+        for m in sorted({1, 2, length - 1, length, length + 1, 2 * length + 1,
+                         tail, *edges} - {0}):
+            idx = rng.integers(0, d2, size=m).astype(np.uint8)
+            got = sampled_frame_channel(gen, tau, idx).mat
+            want = ordered_fold(step, n, idx)
+            assert np.abs(got - want).max() <= 4 * 2**-53 * d2 * (m + 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pauli_diagonal_slice_ignores_its_frames(self, n, rng):
+        gen = from_diagonal(instances.random_diagonal(n, rng))
+        tau = 0.05
+        step = exp(gen, tau).mat
+        for m in (1, 2, 5, 1027):
+            idx = rng.integers(0, 4**n, size=m)
+            got = sampled_frame_channel(gen, tau, idx).mat
+            assert np.count_nonzero(got - np.diag(np.diag(got))) == 0
+            want = ordered_fold(step, n, idx)
+            assert np.abs(got - want).max() <= 4 * 2**-53 * 4**n * (m + 1)
 
     def test_working_memory_is_bounded(self, rng):
         # framing all 10^5 slices at once would take 10^5 * 16 * 16 * 16 B = 410 MB
@@ -199,6 +269,32 @@ class TestRunRound:
                     total = conj @ step @ conj @ total
                 rebuilt = np.trace(total).real / 4**n
                 assert abs(rebuilt - outcome.p_identity) < 1e-12
+
+    def test_round_memory_is_bounded(self):
+        # m-long int64 codes and indices would take 2 x 2.3 MB on their own
+        gen = from_lindbladian(hamiltonian_only(1, [("Z", 1.0)]))
+        run_round(gen, 2.0, 64, "sampled_pauli", np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            run_round(gen, 2.0, 292032, "sampled_pauli", np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_chunked_draws_are_one_draw_of_m(self, n):
+        gen = from_lindbladian(instances.random_lindbladian(n, np.random.default_rng(8), k_max=n))
+        m = 2 * FRAME_DRAW_CHUNK + 3
+        outcome = run_round(gen, 2.0, m, "sampled_pauli", np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, 2.0)
+        codes = rng.integers(0, 4, size=(m, n))
+        p = identity_fraction(sampled_frame_channel(gen, t / m, indices_from_codes(codes)))
+        assert outcome.t_used == t
+        assert outcome.pauli_frames == letters_from_codes(codes)
+        assert outcome.p_identity == min(1.0, max(0.0, p))
+        assert outcome.rejected == (rng.random() >= outcome.p_identity)
 
     def test_deterministic_replay(self):
         gen = from_lindbladian(instances.dephasing(1.0))

@@ -350,6 +350,17 @@ class TestOtherCommands:
         )
         assert sum(float(v) for v in rows.values()) == pytest.approx(1.0, abs=1e-9)
 
+    def test_bell_dist_clips_rounding_residue(self, tmp_path):
+        # at t = 1e15 the X outcome's exact value is 0 and rounding gave -5e-16
+        out = tmp_path / "bell.csv"
+        argv = ["bell-dist", "--config", f"{CONFIGS}/hamiltonian_z.yaml",
+                "--t", "1e15", "--out", str(out)]
+        assert main(argv) == 0
+        values = [float(line.split(",")[1]) for line in out.read_text().splitlines()[1:]]
+        assert len(values) == 4
+        assert min(values) >= 0.0
+        assert sum(values) == pytest.approx(1.0, abs=1e-12)
+
     def test_params_output(self, capsys):
         assert (
             main(
